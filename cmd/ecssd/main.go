@@ -192,8 +192,8 @@ func run() error {
 		return err
 	}
 	stats := svc.Stats()
-	log.Printf("ecssd: drained clean: %d submitted, %d solves, %d cache hits, %d store hits, %d coalesced, %d failed",
-		stats.Submitted, stats.Solves, stats.CacheHits, stats.StoreHits, stats.Coalesced, stats.Failed)
+	log.Printf("ecssd: drained clean: %d submitted, %d solves, %d cache hits, %d store hits, %d coalesced, %d alias hits, %d failed",
+		stats.Submitted, stats.Solves, stats.CacheHits, stats.StoreHits, stats.Coalesced, stats.AliasHits, stats.Failed)
 	if stats.Store != nil {
 		log.Printf("ecssd: store flushed: %d entries / %d bytes on disk, %d puts, %d evictions, %d corruptions, %d quarantined, %d restored",
 			stats.Store.Entries, stats.Store.Bytes, stats.Store.Puts, stats.Store.Evictions,

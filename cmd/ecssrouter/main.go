@@ -158,7 +158,7 @@ func run() error {
 	}
 	rt.Close()
 	st := rt.Stats()
-	log.Printf("ecssrouter: drained clean: %d requests, %d retries, %d hedges (%d won), %d ejections, %d no-shard",
-		st.Requests, st.Retries, st.Hedges, st.HedgesWon, st.Ejections, st.NoShard)
+	log.Printf("ecssrouter: drained clean: %d requests, %d alias hits, %d retries, %d hedges (%d won), %d ejections, %d no-shard",
+		st.Requests, st.AliasHits, st.Retries, st.Hedges, st.HedgesWon, st.Ejections, st.NoShard)
 	return nil
 }

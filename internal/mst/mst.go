@@ -231,10 +231,11 @@ func Boruvka(net *congest.Network, bfsRoot int) ([]int, error) {
 
 // exchangeComp has every vertex send its component id to all neighbors in
 // one round and returns nbrComp[v][i] = component of the other endpoint of
-// incident edge i of v.
-func exchangeComp(net *congest.Network, comp []int) (map[int]map[int]int, error) {
+// incident edge i of v. Each vertex's table is written only by its own
+// handler, so parallel rounds never share a map.
+func exchangeComp(net *congest.Network, comp []int) ([]map[int]int, error) {
 	g := net.G
-	out := make(map[int]map[int]int, g.N)
+	out := make([]map[int]int, g.N)
 	sent := make([]bool, g.N)
 	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
 		for _, m := range inbox {
@@ -262,7 +263,7 @@ func exchangeComp(net *congest.Network, comp []int) (map[int]map[int]int, error)
 // minOutgoingPerComp convergecasts, for every component, the minimum-weight
 // outgoing edge to the BFS root. Intermediate vertices combine entries for
 // the same component, so at most one item per component crosses any edge.
-func minOutgoingPerComp(net *congest.Network, rt *tree.Rooted, comp []int, nbrComp map[int]map[int]int) (map[int]int, error) {
+func minOutgoingPerComp(net *congest.Network, rt *tree.Rooted, comp []int, nbrComp []map[int]int) (map[int]int, error) {
 	g := net.G
 	// best[v] is the node-local table comp -> edge id, merged en route.
 	best := make([]map[int]int, g.N)

@@ -2,6 +2,7 @@ package mst
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,5 +166,37 @@ func TestUnionFind(t *testing.T) {
 	uf.union(1, 3)
 	if uf.find(0) != uf.find(2) {
 		t.Fatal("transitive union failed")
+	}
+}
+
+// TestBoruvkaWorkerCountInvariant runs Borůvka sequentially and on a
+// four-worker pool over graphs large enough for parallel rounds: the edge
+// set and the whole round/message bill must not depend on the worker count
+// (run under -race, it also proves the handlers share no mutable state).
+func TestBoruvkaWorkerCountInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 3; trial++ {
+		n := 200 + rng.Intn(200)
+		cfg := graph.GenConfig{Mode: graph.WeightUniform, MaxW: 50, Rng: rng}
+		g := graph.RandomSpanningTreePlus(n, 2*n, cfg)
+		root := rng.Intn(n)
+		var edges [2][]int
+		var stats [2]congest.Stats
+		for i, workers := range []int{1, 4} {
+			net := congest.NewNetwork(g)
+			net.Workers = workers
+			got, err := Boruvka(net, root)
+			net.Close()
+			if err != nil {
+				t.Fatalf("trial %d, %d workers: %v", trial, workers, err)
+			}
+			edges[i], stats[i] = got, net.Stats()
+		}
+		if !slices.Equal(edges[0], edges[1]) {
+			t.Fatalf("trial %d (n=%d): MST differs between 1 and 4 workers", trial, n)
+		}
+		if stats[0] != stats[1] {
+			t.Fatalf("trial %d (n=%d): stats differ: 1 worker %+v, 4 workers %+v", trial, n, stats[0], stats[1])
+		}
 	}
 }

@@ -48,6 +48,7 @@ func (rt *Router) registerMetrics() {
 		c("ecss_router_hedges_won_total", "Hedged attempts that produced the winning response.", float64(st.HedgesWon))
 		c("ecss_router_ejections_total", "Circuit-breaker trips, active and passive.", float64(st.Ejections))
 		c("ecss_router_no_shard_total", "Requests failed for want of any eligible shard.", float64(st.NoShard))
+		c("ecss_router_alias_hits_total", "Solve requests routed by body digest, skipping decode, graph build and hash.", float64(st.AliasHits))
 		g("ecss_router_eligible_shards", "Shards currently eligible for new requests.", float64(st.Eligible))
 		g("ecss_router_hedge_delay_seconds", "Live hedging trigger (0: hedging inactive).", st.HedgeDelayMS/1e3)
 		g("ecss_router_p99_estimate_seconds", "EWMA-derived latency estimate feeding the hedge trigger.", st.P99EstMS/1e3)

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"twoecss/internal/alias"
 	"twoecss/internal/faults"
 	"twoecss/internal/obs"
 	"twoecss/internal/service"
@@ -120,6 +121,10 @@ const (
 // own request bound.
 const maxRelayBytes = 1 << 28
 
+// aliasGeneration sizes one generation of the router's body-digest alias
+// (at most twice this many bodies are remembered, 40 bytes each).
+const aliasGeneration = 4096
+
 // Router fronts a fixed shard set. Create with New, stop with Close.
 type Router struct {
 	cfg    Config
@@ -148,7 +153,15 @@ type Router struct {
 	hedgesWon atomic.Int64 // hedged attempts that produced the winning response
 	ejections atomic.Int64 // breaker trips, active + passive
 	noShard   atomic.Int64 // requests failed for want of any eligible shard
+	aliasHits atomic.Int64 // requests routed by body digest, skipping decode
 	draining  atomic.Bool
+
+	// aliases maps the digest of every body the router decoded to its ring
+	// point (self-locking).
+	aliases *alias.Map[uint64]
+	// testDecode, when set (tests only), runs each time a solve body takes
+	// the full decode path.
+	testDecode func()
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -167,9 +180,10 @@ func New(cfg Config, shardAddrs []string) (*Router, error) {
 		// Transport defaults suffice; no overall client timeout because
 		// wait=true solves legitimately block. Cancellation is per-request
 		// via context.
-		client: &http.Client{},
-		o:      cfg.Obs,
-		stop:   make(chan struct{}),
+		client:  &http.Client{},
+		o:       cfg.Obs,
+		aliases: alias.New[uint64](aliasGeneration),
+		stop:    make(chan struct{}),
 	}
 	if rt.o == nil {
 		rt.o = obs.New()
@@ -519,17 +533,23 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "read body: " + err.Error()})
 		return
 	}
-	var req service.SolveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
-		return
+	// A body the router already decoded routes by its digest alone
+	// (DESIGN.md §7.6): the ring point is a function of the bytes.
+	digest := alias.Of(body)
+	point, ok := rt.aliases.Get(digest)
+	if ok {
+		rt.aliasHits.Add(1)
+	} else {
+		if hook := rt.testDecode; hook != nil {
+			hook()
+		}
+		if point, err = decodePoint(body); err != nil {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			return
+		}
+		rt.aliases.Put(digest, point)
 	}
-	g, err := req.Graph.Graph()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad graph: " + err.Error()})
-		return
-	}
-	res, err := rt.forward(r.Context(), reqID, body, rt.candidates(keyPoint(g.Hash())))
+	res, err := rt.forward(r.Context(), reqID, body, rt.candidates(point))
 	// SLO classification: the routing tier is available when it relayed a
 	// deliverable non-5xx answer; 2xx relays additionally count against the
 	// route-latency objective.
@@ -553,6 +573,20 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	relay(w, res)
+}
+
+// decodePoint is the full path of a solve body: decode, graph build and
+// hash, down to the ring point the request routes on.
+func decodePoint(body []byte) (uint64, error) {
+	var req service.SolveRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return 0, fmt.Errorf("bad request body: %w", err)
+	}
+	g, err := req.Graph.Graph()
+	if err != nil {
+		return 0, fmt.Errorf("bad graph: %w", err)
+	}
+	return keyPoint(g.Hash()), nil
 }
 
 // relay writes a buffered backend response to the client, preserving the
@@ -628,6 +662,9 @@ type Stats struct {
 	HedgesWon int64 `json:"hedges_won"`
 	Ejections int64 `json:"ejections"`
 	NoShard   int64 `json:"no_shard"`
+	// AliasHits counts solve requests routed by body digest: a
+	// byte-identical resubmission skips the decode, graph build and hash.
+	AliasHits int64 `json:"alias_hits"`
 
 	// HedgeDelayMS is the live hedging trigger (0: hedging inactive);
 	// P99EstMS is the EWMA-derived latency estimate feeding it.
@@ -647,6 +684,7 @@ func (rt *Router) Stats() Stats {
 		HedgesWon: rt.hedgesWon.Load(),
 		Ejections: rt.ejections.Load(),
 		NoShard:   rt.noShard.Load(),
+		AliasHits: rt.aliasHits.Load(),
 		Faults:    faults.Snapshot(),
 	}
 	now := time.Now()

@@ -223,7 +223,10 @@ func TestCircuitBreakerEjectsThenRecovers(t *testing.T) {
 
 	cfg := quietConfig()
 	cfg.EjectAfter = 2
-	cfg.EjectBackoff = 30 * time.Millisecond
+	// The backoff must outlast the "no traffic while ejected" loop below by
+	// a wide margin even on a loaded machine: were it to expire mid-loop,
+	// the half-open trial would legitimately reach the shard.
+	cfg.EjectBackoff = 2 * time.Second
 	rt, err := New(cfg, []string{flaky.URL, good.URL})
 	if err != nil {
 		t.Fatal(err)
@@ -253,9 +256,16 @@ func TestCircuitBreakerEjectsThenRecovers(t *testing.T) {
 	if hits.Load() != before {
 		t.Fatalf("ejected shard still receiving traffic (%d -> %d)", before, hits.Load())
 	}
-	// Heal the backend, wait out the backoff: the half-open trial restores it.
+	// Heal the backend and wait until the breaker itself admits a trial
+	// (ejected -> half-open once the backoff elapses): the half-open trial
+	// then restores it.
 	failing.Store(false)
-	time.Sleep(2 * cfg.EjectBackoff)
+	for deadline := time.Now().Add(10 * cfg.EjectBackoff); !rt.shards[0].eligible(time.Now()); {
+		if time.Now().After(deadline) {
+			t.Fatalf("ejected shard never became eligible for a trial: %+v", rt.shards[0].stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	var healed bool
 	for i := 0; i < 10; i++ {
 		postVia(t, rt, body)
@@ -609,5 +619,67 @@ func TestProfileFanoutAndShardEngineMetrics(t *testing.T) {
 	// The fleet total sums across shard labels.
 	if sum, ok := obs.SumSeries(doc, "ecss_engine_messages_total"); !ok || sum != 5000 {
 		t.Fatalf("fleet messages sum %.0f (ok=%v), want 5000", sum, ok)
+	}
+}
+
+// TestAliasRoutesResubmissionWithoutDecode: the router routes a
+// byte-identical resubmission by its body digest alone — no decode, graph
+// build or hash — to the shard the full path picked; a body answered 400
+// is never learned.
+func TestAliasRoutesResubmissionWithoutDecode(t *testing.T) {
+	var hits [2]atomic.Int64
+	a := httptest.NewServer(okHandler("a", &hits[0]))
+	defer a.Close()
+	b := httptest.NewServer(okHandler("b", &hits[1]))
+	defer b.Close()
+	rt, err := New(quietConfig(), []string{a.URL, b.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var decodes atomic.Int64
+	rt.testDecode = func() { decodes.Add(1) }
+
+	body := bodyForPrimary(t, rt, 1)
+	for i := 0; i < 4; i++ {
+		code, out, _ := postVia(t, rt, body)
+		if code != http.StatusOK || out["job_id"] != "b" {
+			t.Fatalf("request %d: %d %v, want 200 from the key's primary b", i, code, out)
+		}
+	}
+	if n := decodes.Load(); n != 1 {
+		t.Fatalf("%d decodes, want 1: resubmissions must route by digest", n)
+	}
+	if hits[0].Load() != 0 || hits[1].Load() != 4 {
+		t.Fatalf("shard hits a=%d b=%d, want every request on b", hits[0].Load(), hits[1].Load())
+	}
+
+	bad := [][]byte{[]byte(`{"graph":`), []byte(`{"graph":{"n":3,"edges":[[0,9,1]]}}`)}
+	for round := 0; round < 2; round++ {
+		for i, body := range bad {
+			if code, _, _ := postVia(t, rt, body); code != http.StatusBadRequest {
+				t.Fatalf("bad body %d round %d: %d, want 400", i, round, code)
+			}
+		}
+	}
+	if n := decodes.Load(); n != 1+2*int64(len(bad)) {
+		t.Fatalf("%d decodes, want %d: a 400 body must never be aliased", n, 1+2*len(bad))
+	}
+	if st := rt.Stats(); st.AliasHits != 3 || st.Requests != 8 {
+		t.Fatalf("stats %+v, want 3 alias hits of 8 requests", st)
+	}
+	srv := httptest.NewServer(rt.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	doc, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(doc, []byte("\necss_router_alias_hits_total 3\n")) {
+		t.Fatal("/metrics lacks ecss_router_alias_hits_total 3")
 	}
 }

@@ -1,14 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
 	"time"
 
+	"twoecss/internal/alias"
 	"twoecss/internal/ecss"
 	"twoecss/internal/faults"
 	"twoecss/internal/graph"
@@ -284,40 +287,38 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	g, err := req.Graph.toGraph()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad graph: %w", err))
-		return
+	// A body the service already decoded and admitted resolves through its
+	// digest to the same admission lookup the full path ends in; only a
+	// miss there (key no longer in flight, cached or stored) pays for the
+	// decode. See DESIGN.md §7.6.
+	digest := alias.Of(body)
+	var job *Job
+	var hit bool
+	a, aliased := s.aliases.Get(digest)
+	if aliased {
+		job, err = s.submitAlias(a.key, a.ghash, Admit{Priority: a.priority, Cancelable: a.wait, RequestID: reqID})
+		aliased = job != nil || err != nil
+		hit = aliased
 	}
-	opt, err := req.Options.toOptions()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad options: %w", err))
-		return
+	if !aliased {
+		d, derr := s.decodeSolve(r, body)
+		if derr != nil {
+			httpError(w, http.StatusBadRequest, derr)
+			return
+		}
+		a = d.bodyAlias
+		job, hit, err = s.admit(d.key, d.ghash, d.g, d.opt, d.admit(reqID))
+		if err == nil {
+			// Learned only from a body this process decoded, validated and
+			// admitted itself; the bytes fix every field the alias keeps.
+			s.aliases.Put(digest, a)
+		}
 	}
-	adm := Admit{Cancelable: req.Wait, RequestID: reqID}
-	if adm.Priority, err = ParsePriority(req.Priority); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.DeadlineMS < 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("deadline_ms must be >= 0, got %d", req.DeadlineMS))
-		return
-	}
-	if req.DeadlineMS > 0 {
-		adm.Deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-	}
-	// Propagate the transport deadline too: a job is not worth starting
-	// after the request that asked for it has timed out.
-	if ctxDL, ok := r.Context().Deadline(); ok && (adm.Deadline.IsZero() || ctxDL.Before(adm.Deadline)) {
-		adm.Deadline = ctxDL
-	}
-	job, hit, err := s.SubmitWith(g, opt, adm)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Load shedding, not a client error: tell the client when a retry
@@ -337,7 +338,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	code := http.StatusAccepted
-	if req.Wait {
+	if a.wait {
 		select {
 		case <-job.Done():
 		case <-r.Context().Done():
@@ -364,6 +365,73 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, resp)
+}
+
+// bodyAlias is what the full path learned from one admitted solve body:
+// its content key and graph hash, plus the admission fields the body
+// fixes. The deadline is not kept: a body alias only ever serves a hit,
+// and hits ignore deadlines.
+type bodyAlias struct {
+	key      Key
+	ghash    [32]byte
+	wait     bool
+	priority Priority
+}
+
+// decodedSolve is a decoded, validated and hashed solve request.
+type decodedSolve struct {
+	bodyAlias
+	g        *graph.Graph
+	opt      ecss.Options
+	deadline time.Time
+}
+
+// admit returns the admission parameters of the request under reqID.
+func (d decodedSolve) admit(reqID string) Admit {
+	return Admit{Priority: d.priority, Deadline: d.deadline, Cancelable: d.wait, RequestID: reqID}
+}
+
+// decodeSolve is the full path of a solve body: JSON decode, graph build,
+// option and admission-field checks, then the validate-and-hash half of
+// SubmitWith. Any error is a client error (400). Only the first JSON value
+// is decoded; trailing bytes are ignored, as a streaming decoder would.
+func (s *Service) decodeSolve(r *http.Request, body []byte) (decodedSolve, error) {
+	var d decodedSolve
+	var req SolveRequest
+	if hook := s.testDecode; hook != nil {
+		hook()
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return d, fmt.Errorf("bad request body: %w", err)
+	}
+	g, err := req.Graph.toGraph()
+	if err != nil {
+		return d, fmt.Errorf("bad graph: %w", err)
+	}
+	opt, err := req.Options.toOptions()
+	if err != nil {
+		return d, fmt.Errorf("bad options: %w", err)
+	}
+	if d.priority, err = ParsePriority(req.Priority); err != nil {
+		return d, err
+	}
+	if req.DeadlineMS < 0 {
+		return d, fmt.Errorf("deadline_ms must be >= 0, got %d", req.DeadlineMS)
+	}
+	if req.DeadlineMS > 0 {
+		d.deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
+	}
+	// Propagate the transport deadline too: a job is not worth starting
+	// after the request that asked for it has timed out.
+	if ctxDL, ok := r.Context().Deadline(); ok && (d.deadline.IsZero() || ctxDL.Before(d.deadline)) {
+		d.deadline = ctxDL
+	}
+	d.wait, d.g = req.Wait, g
+	if d.opt, d.ghash, err = s.prepare(g, opt, d.admit("")); err != nil {
+		return d, err
+	}
+	d.key = keyFor(d.ghash, d.opt)
+	return d, nil
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {

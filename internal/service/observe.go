@@ -91,6 +91,7 @@ func (s *Service) registerMetrics() {
 		c("ecss_cache_hits_total", "Submissions served from the in-memory result cache.", float64(st.CacheHits))
 		c("ecss_coalesced_total", "Submissions attached to an identical in-flight job.", float64(st.Coalesced))
 		c("ecss_store_hits_total", "Submissions served from the disk store on a memory miss.", float64(st.StoreHits))
+		c("ecss_alias_hits_total", "Submissions answered by request-body digest, skipping decode, graph build and hash.", float64(st.AliasHits))
 		c("ecss_rejected_total", "Admission rejections by reason.", float64(st.RejectedFull), obs.L("reason", "queue_full"))
 		c("ecss_rejected_total", "Admission rejections by reason.", float64(st.RejectedDraining), obs.L("reason", "draining"))
 		g("ecss_queue_depth", "Jobs admitted but not yet picked up by a worker.", float64(st.QueueDepth))

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"twoecss/internal/alias"
 	"twoecss/internal/congest"
 	"twoecss/internal/ecss"
 	"twoecss/internal/faults"
@@ -182,6 +183,12 @@ type Stats struct {
 	CacheHits int64 `json:"cache_hits"`
 	Coalesced int64 `json:"coalesced"`
 	StoreHits int64 `json:"store_hits"`
+	// AliasHits counts submissions answered by body digest (DESIGN.md
+	// §7.6): byte-identical resubmissions of a body the service already
+	// admitted, served — or rejected as draining — without decode, graph
+	// build or hash. Each is also counted in Submitted and in the counter
+	// of the tier that answered it.
+	AliasHits int64 `json:"alias_hits"`
 	// RejectedFull / RejectedDraining count admission failures.
 	RejectedFull     int64 `json:"rejected_full"`
 	RejectedDraining int64 `json:"rejected_draining"`
@@ -259,9 +266,13 @@ type Service struct {
 	jobs     map[string]*Job
 	inflight map[Key]*Job
 	cache    *jobCache
-	retired  []string // FIFO of terminal, uncached job ids still in jobs
-	stats    Stats
-	classes  [numPriorities]ClassStats
+	// aliases maps the digest of every admitted request body to what its
+	// decode produced (http.go, DESIGN.md §7.6); self-locking, sized one
+	// generation per CacheEntries, nil when caching is disabled.
+	aliases *alias.Map[bodyAlias]
+	retired []string // FIFO of terminal, uncached job ids still in jobs
+	stats   Stats
+	classes [numPriorities]ClassStats
 	// queues holds the admitted-not-yet-running jobs, one FIFO per
 	// priority class; qlen is their total length, bounded by QueueDepth.
 	queues [numPriorities][]*Job
@@ -276,6 +287,9 @@ type Service struct {
 	// testJobStart, when set (tests only), runs at the top of every worker
 	// job execution, before the solve.
 	testJobStart func(*Job)
+	// testDecode, when set (tests only), runs each time a solve body takes
+	// the full decode path.
+	testDecode func()
 }
 
 // New starts a service with cfg's sizing and its worker goroutines. With a
@@ -292,6 +306,7 @@ func New(cfg Config) *Service {
 		jobs:     make(map[string]*Job),
 		inflight: make(map[Key]*Job),
 		cache:    newJobCache(cfg.CacheEntries),
+		aliases:  alias.New[bodyAlias](cfg.CacheEntries),
 	}
 	if s.o == nil {
 		s.o = obs.New()
@@ -387,73 +402,43 @@ func (s *Service) Submit(g *graph.Graph, opt ecss.Options) (*Job, bool, error) {
 // past fails fast with ErrDeadlineExceeded (unless the result is on hand:
 // cache and coalescing hits serve instantly and ignore the deadline).
 func (s *Service) SubmitWith(g *graph.Graph, opt ecss.Options, adm Admit) (*Job, bool, error) {
+	opt, ghash, err := s.prepare(g, opt, adm)
+	if err != nil {
+		return nil, false, err
+	}
+	return s.admit(keyFor(ghash, opt), ghash, g, opt, adm)
+}
+
+// prepare is the validate-and-hash half of SubmitWith — the work a body
+// alias skips: it checks the instance and the admission fields, pins the
+// execution knobs, and returns the options as solved plus the graph hash.
+func (s *Service) prepare(g *graph.Graph, opt ecss.Options, adm Admit) (ecss.Options, [32]byte, error) {
 	if opt.Eps <= 0 {
-		return nil, false, fmt.Errorf("service: eps must be positive, got %g", opt.Eps)
+		return opt, [32]byte{}, fmt.Errorf("service: eps must be positive, got %g", opt.Eps)
 	}
 	if g == nil || g.N < 3 {
-		return nil, false, errors.New("service: need a graph with at least 3 vertices")
+		return opt, [32]byte{}, errors.New("service: need a graph with at least 3 vertices")
 	}
 	if opt.Root < 0 || opt.Root >= g.N {
-		return nil, false, fmt.Errorf("service: root %d out of range [0,%d)", opt.Root, g.N)
+		return opt, [32]byte{}, fmt.Errorf("service: root %d out of range [0,%d)", opt.Root, g.N)
 	}
 	if adm.Priority < 0 || adm.Priority >= numPriorities {
-		return nil, false, fmt.Errorf("service: priority %d out of range", adm.Priority)
+		return opt, [32]byte{}, fmt.Errorf("service: priority %d out of range", adm.Priority)
 	}
 	opt.Workers = s.cfg.NetWorkers
 	opt.Progress = nil
 	opt.StageStats = nil
-	ghash := g.Hash()
-	key := keyFor(ghash, opt)
+	return opt, g.Hash(), nil
+}
 
+// admit counts a validated submission, serves it from lookupLocked when the
+// result is in flight, cached or stored, and otherwise queues a new job.
+func (s *Service) admit(key Key, ghash [32]byte, g *graph.Graph, opt ecss.Options, adm Admit) (*Job, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Submitted++
-	s.classes[adm.Priority].Submitted++
-	if s.draining {
-		s.stats.RejectedDraining++
-		return nil, false, ErrDraining
-	}
-	if j, ok := s.inflight[key]; ok {
-		s.stats.Coalesced++
-		s.attachLocked(j, adm)
-		return j, true, nil
-	}
-	if j, ok := s.cache.get(key); ok {
-		s.stats.CacheHits++
-		s.emit(obs.Event{Type: obs.EvJobCached, Job: j.id, Req: adm.RequestID, Key: keyPrefix(key), Terminal: true})
-		return j, true, nil
-	}
-	if s.store != nil {
-		// The store lookup touches disk; release the admission mutex
-		// around it so concurrent Submits, Stats, and progress callbacks
-		// are never serialized behind a file read, then re-run the
-		// admission checks — the world may have moved meanwhile. A hit
-		// returns a pinned zero-copy view; every path that does not adopt
-		// it must release the pin.
-		s.mu.Unlock()
-		v, found := s.store.GetView([32]byte(key))
-		s.mu.Lock()
-		if s.draining {
-			v.Release()
-			s.stats.RejectedDraining++
-			return nil, false, ErrDraining
-		}
-		if j, ok := s.inflight[key]; ok {
-			v.Release()
-			s.stats.Coalesced++
-			s.attachLocked(j, adm)
-			return j, true, nil
-		}
-		if j, ok := s.cache.get(key); ok {
-			v.Release()
-			s.stats.CacheHits++
-			s.emit(obs.Event{Type: obs.EvJobCached, Job: j.id, Req: adm.RequestID, Key: keyPrefix(key), Terminal: true})
-			return j, true, nil
-		}
-		if found {
-			s.stats.StoreHits++
-			return s.adoptStoredLocked(key, ghash, v, adm.RequestID), true, nil
-		}
+	s.countSubmittedLocked(adm.Priority)
+	if j, err := s.lookupLocked(key, ghash, adm); j != nil || err != nil {
+		return j, j != nil, err
 	}
 	now := time.Now()
 	if !adm.Deadline.IsZero() && !now.Before(adm.Deadline) {
@@ -496,6 +481,82 @@ func (s *Service) SubmitWith(g *graph.Graph, opt ecss.Options, adm Admit) (*Job,
 	// precedes the job's own job.started on the bus.
 	s.emit(obs.Event{Type: obs.EvJobAdmitted, Job: j.id, Req: j.req, Class: adm.Priority.String(), Key: keyPrefix(key)})
 	return j, false, nil
+}
+
+// submitAlias admits a request by a learned body alias: key, ghash and the
+// admission fields are what the full path produced for the same bytes. It
+// answers only what lookupLocked answers — a coalesce, a cache or store
+// hit, or a draining rejection — and returns (nil, nil) on a miss, without
+// counting the submission: the caller then decodes the body and admits it
+// through the full path, which counts it once.
+func (s *Service) submitAlias(key Key, ghash [32]byte, adm Admit) (*Job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, err := s.lookupLocked(key, ghash, adm)
+	if j == nil && err == nil {
+		return nil, nil
+	}
+	s.countSubmittedLocked(adm.Priority)
+	s.stats.AliasHits++
+	return j, err
+}
+
+func (s *Service) countSubmittedLocked(p Priority) {
+	s.stats.Submitted++
+	s.classes[p].Submitted++
+}
+
+// lookupLocked is the one admission lookup both the full path and the body
+// alias run: a draining service rejects; otherwise the key is served from
+// the in-flight table, then the memory cache, then the disk store. It
+// returns (nil, nil) when none holds the key. Caller holds s.mu; the store
+// read drops it and re-runs the checks afterwards, since the world may
+// have moved meanwhile.
+func (s *Service) lookupLocked(key Key, ghash [32]byte, adm Admit) (*Job, error) {
+	if s.draining {
+		s.stats.RejectedDraining++
+		return nil, ErrDraining
+	}
+	if j := s.hitLocked(key, adm); j != nil || s.store == nil {
+		return j, nil
+	}
+	// The store lookup touches disk; release the admission mutex around it
+	// so concurrent Submits, Stats, and progress callbacks are never
+	// serialized behind a file read. A hit returns a pinned zero-copy view;
+	// every path that does not adopt it must release the pin.
+	s.mu.Unlock()
+	v, found := s.store.GetView([32]byte(key))
+	s.mu.Lock()
+	if s.draining {
+		v.Release()
+		s.stats.RejectedDraining++
+		return nil, ErrDraining
+	}
+	if j := s.hitLocked(key, adm); j != nil {
+		v.Release()
+		return j, nil
+	}
+	if !found {
+		return nil, nil
+	}
+	s.stats.StoreHits++
+	return s.adoptStoredLocked(key, ghash, v, adm.RequestID), nil
+}
+
+// hitLocked serves key from an identical in-flight job (coalescing) or the
+// memory cache, or returns nil. Caller holds s.mu.
+func (s *Service) hitLocked(key Key, adm Admit) *Job {
+	if j, ok := s.inflight[key]; ok {
+		s.stats.Coalesced++
+		s.attachLocked(j, adm)
+		return j
+	}
+	if j, ok := s.cache.get(key); ok {
+		s.stats.CacheHits++
+		s.emit(obs.Event{Type: obs.EvJobCached, Job: j.id, Req: adm.RequestID, Key: keyPrefix(key), Terminal: true})
+		return j
+	}
+	return nil
 }
 
 // attachLocked records a coalescing submitter's cancellation interest on an

@@ -221,7 +221,14 @@ func TestProgressPhasesObserved(t *testing.T) {
 	release := sync.OnceFunc(func() { close(gate) })
 	s.testJobStart = func(*Job) { <-gate }
 	defer drain(t, s)
+	defer release() // runs before drain, which would wait on the gate
 
+	// The worker marks a popped job running before testJobStart, so hold
+	// the only worker on a first job: j then stays queued until release.
+	blocker, _, err := s.Submit(testGraph(t, 6), ecss.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	j, _, err := s.Submit(testGraph(t, 7), ecss.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +237,7 @@ func TestProgressPhasesObserved(t *testing.T) {
 		t.Fatalf("pre-run snapshot: %+v", snap)
 	}
 	release()
+	waitJob(t, blocker)
 	waitJob(t, j)
 	snap, ok := s.JobInfo(j.ID())
 	if !ok {

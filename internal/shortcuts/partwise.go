@@ -41,11 +41,14 @@ type AggPlan struct {
 	// index into the queue slices to avoid re-slicing writes.
 	queues [][]congest.Msg
 	heads  []int32
-	slots  []int32 // queue slots used this run, for O(used) reset
-	// slab backs message payloads (3 words each); payload slices alias it,
-	// and append growth relocates only future payloads, so live ones stay
-	// valid. Reset per run, amortizing payload allocation to zero.
-	slab []Word
+	// slots[v] lists the queue slots sender v used this run, so the reset
+	// touches only used queues. slab[v] backs v's message payloads (3 words each); payload
+	// slices alias it, and append growth relocates only future payloads,
+	// so live ones stay valid. Reset per run, amortizing payload
+	// allocation to zero. Both are per sender: handlers of distinct
+	// vertices run concurrently and must not append to shared slices.
+	slots [][]int32
+	slab  [][]Word
 }
 
 // NewAggPlan builds the plan: per-part BFS trees over G[V_p]+H_p rooted at
@@ -99,6 +102,8 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	pl.started = make([]bool, nr)
 	pl.queues = make([][]congest.Msg, 2*g.M())
 	pl.heads = make([]int32, 2*g.M())
+	pl.slots = make([][]int32, g.N)
+	pl.slab = make([][]Word, g.N)
 	return pl
 }
 
@@ -146,12 +151,14 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 			}
 		}
 	}
-	for _, s := range pl.slots {
-		pl.queues[s] = pl.queues[s][:0]
-		pl.heads[s] = 0
+	for v, used := range pl.slots {
+		for _, s := range used {
+			pl.queues[s] = pl.queues[s][:0]
+			pl.heads[s] = 0
+		}
+		pl.slots[v] = used[:0]
+		pl.slab[v] = pl.slab[v][:0]
 	}
-	pl.slots = pl.slots[:0]
-	pl.slab = pl.slab[:0]
 
 	push := func(v int32, edge int32, tag, p, val Word) {
 		dir := int32(0)
@@ -160,10 +167,11 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 		}
 		slot := 2*edge + dir
 		if len(pl.queues[slot]) == 0 && pl.heads[slot] == 0 {
-			pl.slots = append(pl.slots, slot) // first use this run; reset next run
+			pl.slots[v] = append(pl.slots[v], slot) // first use this run; reset next run
 		}
-		pl.slab = append(pl.slab, tag, p, val)
-		data := pl.slab[len(pl.slab)-3 : len(pl.slab) : len(pl.slab)]
+		slab := append(pl.slab[v], tag, p, val)
+		pl.slab[v] = slab
+		data := slab[len(slab)-3 : len(slab) : len(slab)]
 		pl.queues[slot] = append(pl.queues[slot], congest.Msg{EdgeID: int(edge), From: int(v), Data: data})
 	}
 

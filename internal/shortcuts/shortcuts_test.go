@@ -3,6 +3,7 @@ package shortcuts
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"twoecss/internal/congest"
@@ -334,5 +335,58 @@ func TestHeavyLightLabels(t *testing.T) {
 	}
 	if lb == nil || len(lb.Labels) != rt.G.N {
 		t.Fatal("bad labeling")
+	}
+}
+
+// TestAggregateWorkerCountInvariant runs the same aggregation plan
+// sequentially and on a four-worker pool over graphs large enough for
+// parallel rounds: the per-vertex results and the round/message bill must
+// not depend on the worker count. Each network aggregates twice through
+// one plan, so the per-run scratch reset is exercised too. Under -race it
+// also proves the handlers append to no shared slice.
+func TestAggregateWorkerCountInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	graphs := []*graph.Graph{
+		graph.Grid(18, 18, graph.DefaultGenConfig(6)),
+		graph.ErdosRenyi(300, 0.02, graph.DefaultGenConfig(7)),
+	}
+	sum := func(a, b Word) Word { return a + b }
+	for gi, g := range graphs {
+		part, err := NewPartition(g, randomConnectedPartition(g, rng, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]Word, g.N)
+		for v := range x {
+			x[v] = Word(rng.Intn(1000))
+		}
+		var results [2][][]Word
+		var stats [2]congest.Stats
+		for i, workers := range []int{1, 4} {
+			net, bfs := fixtureNet(t, g)
+			net.Workers = workers
+			sc, err := (&SteinerBuilder{G: g, BFS: bfs}).Build(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := NewAggPlan(g, part, sc)
+			for run := 0; run < 2; run++ {
+				got, err := plan.Aggregate(net, x, sum)
+				if err != nil {
+					t.Fatalf("graph %d, %d workers, run %d: %v", gi, workers, run, err)
+				}
+				results[i] = append(results[i], got)
+			}
+			stats[i] = net.Stats()
+			net.Close()
+		}
+		for run := range results[0] {
+			if !slices.Equal(results[0][run], results[1][run]) {
+				t.Fatalf("graph %d run %d: aggregates differ between 1 and 4 workers", gi, run)
+			}
+		}
+		if stats[0] != stats[1] {
+			t.Fatalf("graph %d: stats differ: 1 worker %+v, 4 workers %+v", gi, stats[0], stats[1])
+		}
 	}
 }

@@ -169,10 +169,13 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 	sameEntry := live && cur == e
 	// If eviction doomed this entry while we held the pin, the unlink was
 	// deferred to the last pin — perform it only when no newer entry for
-	// the same key owns the path meanwhile (a re-put after the eviction).
-	var unlink string
-	if e.doomed && e.pins == 0 && !live {
-		unlink = s.objPath(key)
+	// the same key owns the path meanwhile: neither a live one (a re-put
+	// after the eviction) nor one the writer is renaming into place before
+	// indexing it. The unlink runs under s.mu, which orders it against the
+	// writer marking such a put; this rare path is the store's one
+	// lock-held file operation.
+	if e.doomed && e.pins == 0 && !live && (s.writing == nil || *s.writing != key) {
+		os.Remove(s.objPath(key))
 	}
 	var unmap []byte
 	if err != nil {
@@ -190,9 +193,6 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 			s.quarantineLocked(key)
 		}
 		s.mu.Unlock()
-		if unlink != "" {
-			os.Remove(unlink)
-		}
 		if unmap != nil {
 			_ = unmapFile(unmap)
 		}
@@ -227,9 +227,6 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 		}
 	}
 	s.mu.Unlock()
-	if unlink != "" {
-		os.Remove(unlink)
-	}
 	if now != 0 {
 		s.recordTouch(key, now)
 	}

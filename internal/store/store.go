@@ -121,6 +121,10 @@ type Store struct {
 	// strikes counts consecutive failed reverifications per quarantined
 	// key; at reverifyStrikes the file is deleted for good.
 	strikes map[Key]int
+	// writing is the key whose object file the writer is renaming into
+	// place but has not yet indexed (nil when none): a reader's deferred
+	// unlink of an evicted entry for that key must not remove it.
+	writing *Key
 
 	closeMu sync.RWMutex
 	closed  bool
@@ -657,6 +661,7 @@ func (s *Store) applyPut(op writeOp) {
 		s.mu.Unlock()
 		return
 	}
+	s.writing = &op.key
 	s.mu.Unlock()
 
 	size, err := s.writeObject(op)
@@ -665,6 +670,7 @@ func (s *Store) applyPut(op writeOp) {
 		// cache miss on restart; serving must not fail because
 		// persistence did.
 		s.mu.Lock()
+		s.writing = nil
 		s.stats.WriteErrors++
 		s.mu.Unlock()
 		s.emit(obs.EvStoreWriteError, op.key, err.Error())
@@ -673,6 +679,7 @@ func (s *Store) applyPut(op writeOp) {
 
 	var lines strings.Builder
 	s.mu.Lock()
+	s.writing = nil
 	e := &entry{key: op.key, size: size, atime: s.stampLocked()}
 	e.el = s.ll.PushFront(e)
 	s.entries[op.key] = e
