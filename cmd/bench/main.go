@@ -211,7 +211,6 @@ func runEngineBench(seed int64) ([]engineObsRow, error) {
 	}
 	opt := ecss.DefaultOptions()
 	net := congest.NewNetwork(g)
-	defer net.Close()
 	if _, err := ecss.SolveOn(net, opt); err != nil { // warm engine scratch
 		return nil, err
 	}

@@ -28,7 +28,6 @@ func main() {
 	}
 
 	net := congest.NewNetwork(g)
-	defer net.Close()
 	bfs, err := primitives.BuildBFS(net, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -21,7 +21,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer net.Close()
 	if err := ecss.Verify(g, res); err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,6 @@ func main() {
 	g := graph.PathWithIntervals(n, 50, graph.DefaultGenConfig(11))
 
 	net := congest.NewNetwork(g)
-	defer net.Close()
 	bfs, err := primitives.BuildBFS(net, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -6,28 +6,23 @@
 // The engine simulates algorithms at message level: a primitive supplies a
 // per-node Handler; the engine delivers messages round by round, enforces
 // the per-edge-per-round bandwidth budget (counted in O(log n)-bit words),
-// and accumulates round and message statistics. Node handlers run
-// concurrently on a goroutine worker pool with a barrier per round, which
-// both exploits the per-node structure of CONGEST algorithms and enforces
-// the discipline that a handler may only touch its own node state.
+// and accumulates round and message statistics. Each round runs the
+// scheduled node handlers sequentially in ascending vertex order, then
+// delivers their messages; round and message counts do not depend on how
+// the simulation is executed, so the engine does not parallelize inside a
+// Run. A handler may still only touch its own node state: that is the
+// model's discipline, and what makes a handler a distributed algorithm.
 //
 // Some sub-routines the paper cites from prior work (MST construction, LCA
 // labels, segment decomposition construction) are not re-proved there; for
 // those the engine provides Charge, an analytic round bill recorded
 // separately from simulated rounds. DESIGN.md lists which component uses
 // which channel.
-//
-// Lifecycle: a Network that executed parallel rounds owns a persistent
-// worker pool reused across Run calls. Call Network.Close when done with a
-// Network to release the pool goroutines deterministically; a GC cleanup
-// reclaims the pool of a Network dropped without Close. Networks with
-// Workers == 1 never spawn a pool and need no Close.
 package congest
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 
 	"twoecss/internal/graph"
@@ -83,7 +78,9 @@ type PhaseSpan struct {
 	Messages  int64
 }
 
-// Network wraps a graph with CONGEST cost accounting.
+// Network wraps a graph with CONGEST cost accounting. It is used by one
+// goroutine at a time: Run rejects a concurrent or re-entrant call, and the
+// other methods must not race with a Run.
 type Network struct {
 	G *graph.Graph
 	// WordsPerEdge is the per-edge per-direction per-round budget in
@@ -91,9 +88,6 @@ type Network struct {
 	// constant number of O(log n)-bit fields (ids, weights, counters);
 	// the default budget is 8 words.
 	WordsPerEdge int
-	// Workers is the size of the goroutine pool used to run node handlers
-	// (defaults to GOMAXPROCS). Set to 1 for fully sequential execution.
-	Workers int
 	// Observer, when non-nil, receives one RoundSample per simulated round
 	// (see RoundRecorder for the bounded default). It must not be changed
 	// while a Run is in flight, and ResetAccounting does not touch it. A
@@ -105,40 +99,32 @@ type Network struct {
 	mark    Stats // stats snapshot at the start of the current phase
 	cur     string
 	sc      *scratch    // engine buffers, recycled across Run calls
-	pool    *pool       // persistent worker pool; see Close
 	running atomic.Bool // guards re-entrant/concurrent Run on shared scratch
 }
 
 // NewNetwork returns a network over g with the default eight-word budget.
-// A Network whose Runs executed parallel rounds owns a worker pool that
-// persists across Run calls; call Close when done with the Network to
-// release it (a GC cleanup eventually reclaims the pool of a Network
-// dropped without Close, but explicit Close is deterministic).
+// A Network holds only memory: it needs no Close, and a dropped Network is
+// reclaimed by the garbage collector like any other value.
 func NewNetwork(g *graph.Graph) *Network {
-	return &Network{G: g, WordsPerEdge: 8, Workers: runtime.GOMAXPROCS(0)}
+	return &Network{G: g, WordsPerEdge: 8}
 }
 
-// Close releases the Network's persistent worker-pool goroutines. It is
-// idempotent and a no-op for networks that never ran a parallel round; it
-// must not be called concurrently with Run. The Network must not be used
-// after Close (a later Run would spawn a fresh pool, which works but
-// defeats the point).
-func (n *Network) Close() {
-	if n.pool != nil {
-		n.pool.close()
-		n.pool = nil
-	}
-}
+// Close does nothing.
+//
+// Deprecated: a Network owns no goroutines or other resources to release.
+// Close is kept only so the separate perfbench module, which calls it,
+// keeps compiling; code in this module must not call it.
+func (n *Network) Close() {}
 
 // Stats returns a copy of the accumulated statistics.
 func (n *Network) Stats() Stats { return n.stats }
 
 // ResetAccounting zeroes the Network's cost accounting — stats, recorded
-// phase spans, and any open phase — while keeping the engine scratch and
-// the persistent worker pool warm. It exists for callers that reuse one
-// Network across independent solves (the service layer's NetworkPool): each
-// solve then reports its own round and message bill as if the Network were
-// fresh. It must not be called concurrently with Run.
+// phase spans, and any open phase — while keeping the engine scratch warm.
+// It exists for callers that reuse one Network across independent solves
+// (the service layer's NetworkPool): each solve then reports its own round
+// and message bill as if the Network were fresh. It must not be called
+// concurrently with Run.
 func (n *Network) ResetAccounting() {
 	n.stats = Stats{}
 	n.mark = Stats{}

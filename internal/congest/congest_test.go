@@ -2,7 +2,6 @@ package congest
 
 import (
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -135,163 +134,162 @@ func TestAnalyticBills(t *testing.T) {
 	}
 }
 
-func TestParallelDeterminism(t *testing.T) {
-	// The worker pool must not change results: run a flood twice with
-	// different worker counts and compare stats.
-	run := func(workers int) Stats {
-		g := graph.Grid(12, 12, graph.DefaultGenConfig(3))
-		net := NewNetwork(g)
-		defer net.Close()
-		net.Workers = workers
-		seen := make([]bool, g.N)
-		seen[0] = true
-		fresh := make([]bool, g.N)
-		fresh[0] = true
-		handler := func(v int, inbox []Msg) ([]Msg, bool) {
-			if len(inbox) > 0 && !seen[v] {
-				seen[v] = true
-				fresh[v] = true
-			}
-			if fresh[v] {
-				fresh[v] = false
-				var out []Msg
-				for _, id := range g.Incident(v) {
-					out = append(out, Msg{EdgeID: id, From: v, Data: []Word{7}})
-				}
-				return out, false
-			}
+// gossipRun runs a seeded gossip workload of the given length on net, with
+// maxRounds as Run's limit, and returns the Stats it added and every node's
+// final state. Each
+// node folds its inbox into an order-sensitive hash, so any change in inbox
+// order or content changes the state; senders use recycled OutBuf
+// envelopes.
+func gossipRun(net *Network, seed int64, rounds int, maxRounds int64) (Stats, []int64, error) {
+	g := net.G
+	state := make([]int64, g.N)
+	left := make([]int, g.N)
+	for v := range left {
+		left[v] = rounds
+		state[v] = (int64(v)+seed)*2654435761 + 1
+	}
+	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+		for _, m := range inbox {
+			// Order-sensitive mix: swapping two inbox entries changes
+			// the result.
+			state[v] = state[v]*1000003 + m.Data[0]*31 + int64(m.From)
+		}
+		if left[v] == 0 {
 			return nil, false
 		}
-		if err := net.Run(handler, []int{0}, 1000); err != nil {
-			t.Fatal(err)
+		left[v]--
+		out := net.OutBuf(v)
+		for _, id := range g.Incident(v) {
+			out = append(out, Msg{EdgeID: id, From: v, Data: []Word{state[v] & 0xffff}})
 		}
-		return net.Stats()
+		return out, left[v] > 0
 	}
-	a, b := run(1), run(8)
-	if a.SimulatedRounds != b.SimulatedRounds || a.Messages != b.Messages {
-		t.Fatalf("parallel execution changed behaviour: %+v vs %+v", a, b)
-	}
+	before := net.Stats()
+	err := net.Run(handler, nil, maxRounds)
+	after := net.Stats()
+	after.SimulatedRounds -= before.SimulatedRounds
+	after.Messages -= before.Messages
+	after.Words -= before.Words
+	return after, state, err
 }
 
-// TestShardedDeliveryDeterminism guards the parallel routing path: a
-// sequential run and a fully parallel run of the same seeded gossip
-// workload must produce identical Stats and identical final node state.
-// Every node folds its inbox into an order-sensitive hash, so any change in
-// inbox order or content across worker counts fails the test.
-func TestShardedDeliveryDeterminism(t *testing.T) {
+// TestRunReuseDeterminism guards Network reuse: a Run on a recycled Network
+// — scratch buffers and OutBuf envelopes warmed by an earlier Run that was
+// aborted with messages still in flight — must produce the same Stats and
+// the same order-sensitive node state as a Run on a fresh Network.
+func TestRunReuseDeterminism(t *testing.T) {
 	const rounds = 40
-	run := func(workers int) (Stats, []int64) {
-		g := graph.RandomSpanningTreePlus(300, 600, graph.DefaultGenConfig(7))
-		net := NewNetwork(g)
-		defer net.Close()
-		net.Workers = workers
-		state := make([]int64, g.N)
-		left := make([]int, g.N)
-		for v := range left {
-			left[v] = rounds
-			state[v] = int64(v)*2654435761 + 1
-		}
-		handler := func(v int, inbox []Msg) ([]Msg, bool) {
-			for _, m := range inbox {
-				// Order-sensitive mix: swapping two inbox entries
-				// changes the result.
-				state[v] = state[v]*1000003 + m.Data[0]*31 + int64(m.From)
-			}
-			if left[v] == 0 {
-				return nil, false
-			}
-			left[v]--
-			out := net.OutBuf(v)
-			for _, id := range g.Incident(v) {
-				out = append(out, Msg{EdgeID: id, From: v, Data: []Word{state[v] & 0xffff}})
-			}
-			return out, left[v] > 0
-		}
-		if err := net.Run(handler, nil, rounds+10); err != nil {
-			t.Fatal(err)
-		}
-		return net.Stats(), state
+	g := graph.RandomSpanningTreePlus(300, 600, graph.DefaultGenConfig(7))
+	freshStats, freshState, err := gossipRun(NewNetwork(g), 1, rounds, rounds+10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A fixed pool size keeps the parallel engine paths exercised even on a
-	// single-CPU machine, where GOMAXPROCS would degenerate to 1 worker.
-	parWorkers := runtime.GOMAXPROCS(0)
-	if parWorkers < 4 {
-		parWorkers = 4
-	}
-	seqStats, seqState := run(1)
-	parStats, parState := run(parWorkers)
-	if seqStats != parStats {
-		t.Fatalf("stats diverge:\n seq %+v\n par %+v", seqStats, parStats)
-	}
-	for v := range seqState {
-		if seqState[v] != parState[v] {
-			t.Fatalf("node %d state diverges: %d vs %d", v, seqState[v], parState[v])
-		}
-	}
-	if seqStats.Messages == 0 {
+	if freshStats.Messages == 0 {
 		t.Fatal("workload sent no messages")
 	}
+
+	net := NewNetwork(g)
+	// The warm-up uses another seed and stops at the round limit, leaving
+	// undelivered inboxes, scheduled nodes and grown envelopes behind.
+	if _, _, err := gossipRun(net, 2, rounds, rounds/2); err == nil {
+		t.Fatal("warm-up Run did not hit its round limit")
+	}
+	net.ResetAccounting()
+	reStats, reState, err := gossipRun(net, 1, rounds, rounds+10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freshStats != reStats {
+		t.Fatalf("stats diverge:\n fresh    %+v\n recycled %+v", freshStats, reStats)
+	}
+	for v := range freshState {
+		if freshState[v] != reState[v] {
+			t.Fatalf("node %d state diverges: %d vs %d", v, freshState[v], reState[v])
+		}
+	}
 }
 
-// TestParallelErrorDeterminism guards the cross-worker error merge: when
-// several scheduled nodes misbehave in the same round, the reported error
-// must be the one with the smallest (sender, outbox index) for any worker
-// count. The graph is large enough (>= parallelSchedMin scheduled nodes)
-// that the parallel handler phase actually runs.
-func TestParallelErrorDeterminism(t *testing.T) {
+// TestRunErrorOrder pins which error Run reports when several scheduled
+// nodes misbehave in the same round: the one with the smallest (sender,
+// outbox index), and a validation error (forged sender, bad or non-incident
+// edge) before any bandwidth error.
+func TestRunErrorOrder(t *testing.T) {
 	const n = 100
+	forged := func(v int) []Msg { return []Msg{{EdgeID: v, From: v + 1, Data: []Word{1}}} }
+	overrun := func(v int) []Msg { return []Msg{{EdgeID: v, From: v, Data: make([]Word, 99)}} }
 	for _, tc := range []struct {
 		name    string
-		bad     func(v int) []Msg // outbox for the two misbehaving nodes
-		badat   [2]int
+		bad     map[int]func(v int) []Msg // outbox of each misbehaving node
 		wantSub string
 	}{
 		{
-			name:  "forged-sender",
-			badat: [2]int{10, 90},
-			bad: func(v int) []Msg {
-				return []Msg{{EdgeID: v, From: v + 1, Data: []Word{1}}}
-			},
+			name:    "forged-sender",
+			bad:     map[int]func(int) []Msg{10: forged, 90: forged},
 			wantSub: "node 10 forged sender",
 		},
 		{
-			name:  "bandwidth",
-			badat: [2]int{20, 70},
-			bad: func(v int) []Msg {
-				return []Msg{{EdgeID: v, From: v, Data: make([]Word, 99)}}
-			},
+			name:    "bandwidth",
+			bad:     map[int]func(int) []Msg{20: overrun, 70: overrun},
 			wantSub: "99 words from vertex 20",
 		},
+		{
+			name:    "validation-before-bandwidth",
+			bad:     map[int]func(int) []Msg{20: overrun, 90: forged},
+			wantSub: "node 90 forged sender",
+		},
 	} {
-		var errs [2]error
-		for i, workers := range []int{1, 8} {
-			g := pathGraph(n)
-			net := NewNetwork(g)
-			defer net.Close()
-			net.Workers = workers
-			handler := func(v int, inbox []Msg) ([]Msg, bool) {
-				if v == tc.badat[0] || v == tc.badat[1] {
-					return tc.bad(v), false
-				}
-				return nil, false
+		net := NewNetwork(pathGraph(n))
+		handler := func(v int, inbox []Msg) ([]Msg, bool) {
+			if f := tc.bad[v]; f != nil {
+				return f(v), false
 			}
-			errs[i] = net.Run(handler, nil, 10)
-			if errs[i] == nil {
-				t.Fatalf("%s workers=%d: no error", tc.name, workers)
-			}
+			return nil, false
 		}
-		if errs[0].Error() != errs[1].Error() {
-			t.Fatalf("%s: error depends on worker count:\n seq: %v\n par: %v",
-				tc.name, errs[0], errs[1])
+		err := net.Run(handler, nil, 10)
+		if err == nil {
+			t.Fatalf("%s: no error", tc.name)
 		}
-		if !strings.Contains(errs[0].Error(), tc.wantSub) {
-			t.Fatalf("%s: got %v, want error mentioning %q", tc.name, errs[0], tc.wantSub)
+		if !strings.Contains(err.Error(), tc.wantSub) {
+			t.Fatalf("%s: got %v, want error mentioning %q", tc.name, err, tc.wantSub)
+		}
+	}
+}
+
+// TestRunInboxOrder pins the inbox order contract: (From, EdgeID)
+// ascending, whatever order the senders' outboxes list their messages in.
+func TestRunInboxOrder(t *testing.T) {
+	g := graph.New(3)
+	e0 := g.MustAddEdge(0, 2, 1)
+	e1 := g.MustAddEdge(0, 2, 1) // parallel to e0
+	e2 := g.MustAddEdge(1, 2, 1)
+	net := NewNetwork(g)
+	var got []Msg
+	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+		switch v {
+		case 0:
+			return []Msg{{EdgeID: e1, From: 0}, {EdgeID: e0, From: 0}}, false
+		case 1:
+			return []Msg{{EdgeID: e2, From: 1}}, false
+		}
+		got = append(got, inbox...)
+		return nil, false
+	}
+	if err := net.Run(handler, []int{1, 0}, 10); err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]int{{0, e0}, {0, e1}, {1, e2}}
+	if len(got) != len(want) {
+		t.Fatalf("inbox %+v, want %v", got, want)
+	}
+	for i, m := range got {
+		if m.From != want[i][0] || m.EdgeID != want[i][1] {
+			t.Fatalf("inbox %+v, want (From, EdgeID) order %v", got, want)
 		}
 	}
 }
 
 // TestRunRecyclesAcrossCalls checks that repeated Runs on one Network reuse
-// engine buffers — a warmed-up Run must be nearly allocation-free — and
+// engine buffers — a warmed-up Run must be allocation-free — and
 // keep accumulating stats correctly.
 func TestRunRecyclesAcrossCalls(t *testing.T) {
 	g := pathGraph(8)
@@ -314,14 +312,82 @@ func TestRunRecyclesAcrossCalls(t *testing.T) {
 		}
 	}
 	run() // warm up the scratch buffers
-	// Steady state: the only per-Run allocation left is the engine struct.
-	if allocs := testing.AllocsPerRun(5, run); allocs > 2 {
-		t.Fatalf("steady-state Run allocated %.1f objects, want <= 2", allocs)
+	// Steady state: the per-Run engine state lives on the stack, so a
+	// warmed-up Run allocates nothing.
+	if allocs := testing.AllocsPerRun(5, run); allocs > 0 {
+		t.Fatalf("steady-state Run allocated %.1f objects, want 0", allocs)
 	}
 	if got := net.Stats().Messages; got != int64(runs) {
 		t.Fatalf("messages = %d, want %d", got, runs)
 	}
 	if got := net.Stats().SimulatedRounds; got != int64(2*runs) {
 		t.Fatalf("rounds = %d, want %d", got, 2*runs)
+	}
+}
+
+func TestIsqrt(t *testing.T) {
+	cases := []struct {
+		n    int
+		want int64
+	}{
+		{-5, 0},
+		{0, 0},
+		{1, 1},
+		{2, 2},
+		{3, 2},
+		{4, 2},
+		{5, 3},
+		{8, 3},
+		{9, 3},
+		{10, 4},
+		{15, 4},
+		{16, 4},
+		{17, 5},
+		{24, 5},
+		{25, 5},
+		{26, 6},
+		{1 << 20, 1 << 10},
+		{(1 << 20) + 1, (1 << 10) + 1},
+		{(1 << 31) - 1, 46341},
+		{1 << 62, 1 << 31},
+		{(1 << 62) - 1, 1 << 31},
+		{(1 << 62) + 1, (1 << 31) + 1},
+	}
+	for _, c := range cases {
+		if got := isqrt(c.n); got != c.want {
+			t.Errorf("isqrt(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+	// Exhaustive cross-check against the seed's counting loop on a dense
+	// small range plus the perfect squares around every power of two.
+	slow := func(n int) int64 {
+		if n <= 0 {
+			return 0
+		}
+		x := int64(1)
+		for x*x < int64(n) {
+			x++
+		}
+		return x
+	}
+	for n := 0; n <= 1<<12; n++ {
+		if got, want := isqrt(n), slow(n); got != want {
+			t.Fatalf("isqrt(%d) = %d, want %d", n, got, want)
+		}
+	}
+	for k := 1; k <= 30; k++ {
+		r := int64(1) << k
+		for _, n := range []int64{r*r - 1, r * r, r*r + 1} {
+			want := r
+			if n > r*r {
+				want = r + 1
+			}
+			if n == r*r-1 {
+				want = r
+			}
+			if got := isqrt(int(n)); got != want {
+				t.Fatalf("isqrt(%d) = %d, want %d", n, got, want)
+			}
+		}
 	}
 }

@@ -13,50 +13,18 @@ package congest
 //     rounds and across Run calls on the same Network; handlers can opt into
 //     recycled outbox envelopes via Network.OutBuf. In steady state a round
 //     performs zero engine-side allocations.
-//   - Sharded delivery: both handler execution and message routing run on a
-//     small worker pool owned by the Network, spawned lazily on the first
-//     parallel round and reused across Run calls (see Network.Close for the
-//     lifecycle). Delivery is sharded by receiver, so every inbox is filled
-//     by exactly one worker scanning senders in ascending order — results
-//     are bit-identical for any worker count.
+//   - Sequential rounds: handlers run one after another in ascending vertex
+//     order, then every message is routed. Parallelism lives above the
+//     engine (across service jobs and experiment cells), where it pays.
 //   - Flat adjacency: incidence validation and routing read the graph's CSR
 //     endpoint arrays (graph.Endpoints), 8 bytes per message instead of a
 //     24-byte Edge struct load.
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 )
-
-// parallelSchedMin and parallelMsgsPerWorker gate the parallel paths: below
-// these sizes the dispatch barrier costs more than the work. The routing
-// threshold scales with the pool size because every routing worker scans all
-// outbox messages and delivers only its own receiver shard, so the per-round
-// message count must grow with W for sharding to win.
-const (
-	parallelSchedMin      = 64
-	parallelMsgsPerWorker = 64
-)
-
-// wstate is the per-worker accumulator for one round. Hot counters are kept
-// in locals inside the phase functions and written back once per phase, so
-// false sharing between adjacent wstates is not a concern.
-type wstate struct {
-	messages int64
-	words    int64
-	maxEdge  int32
-	maxNode  int64 // peak per-node payload words sent this round
-	recv     []int // receivers this worker delivered to this round
-	// First validation/bandwidth error observed by this worker, with its
-	// (sender, outbox index) position for deterministic cross-worker merge.
-	valErr     error
-	valV, valI int
-	bwErr      *ErrBandwidth
-	bwV, bwI   int
-}
 
 // scratch holds all engine state that survives rounds and Run calls. It is
 // lazily sized to the network's graph on first use.
@@ -67,7 +35,6 @@ type scratch struct {
 	handed   []bool  // v's handler took its OutBuf envelope this round
 	active   []bool
 	pending  []bool // v is already on the next worklist
-	hasMsg   []bool // v already received a message this round
 	sched    []int  // current round worklist, ascending
 	next     []int  // next round worklist, unsorted until round end
 	// edgeWords[2*id+dir] counts words sent this round on edge id in
@@ -77,14 +44,9 @@ type scratch struct {
 	edgeWords []int32
 	edgeEpoch []int64
 	epoch     int64
-	workers   []wstate
-	// eng is the per-Run execution state, kept here so a steady-state Run
-	// performs zero allocations (the pool stores a *engine while
-	// dispatching, which would otherwise force a heap engine per call).
-	eng engine
 }
 
-func (s *scratch) ensure(n, m, workers int) {
+func (s *scratch) ensure(n, m int) {
 	if len(s.inboxes) < n {
 		s.inboxes = make([][]Msg, n)
 		s.outboxes = make([][]Msg, n)
@@ -92,16 +54,12 @@ func (s *scratch) ensure(n, m, workers int) {
 		s.handed = make([]bool, n)
 		s.active = make([]bool, n)
 		s.pending = make([]bool, n)
-		s.hasMsg = make([]bool, n)
 		s.sched = make([]int, 0, n)
 		s.next = make([]int, 0, n)
 	}
 	if len(s.edgeWords) < 2*m {
 		s.edgeWords = make([]int32, 2*m)
 		s.edgeEpoch = make([]int64, 2*m)
-	}
-	if len(s.workers) < workers {
-		s.workers = make([]wstate, workers)
 	}
 }
 
@@ -112,8 +70,8 @@ func (s *scratch) ensure(n, m, workers int) {
 // within v's own handler invocation, and a handler that calls OutBuf(v)
 // must return either that buffer (possibly grown by append) or nil — never
 // a buffer shared with other nodes: the returned slice is adopted as v's
-// envelope for later rounds, and concurrently running handlers would then
-// race on the shared backing array.
+// envelope for later rounds, so a shared backing array would let one node's
+// appends overwrite another node's undelivered messages.
 func (n *Network) OutBuf(v int) []Msg {
 	if n.sc == nil || v >= len(n.sc.outBufs) {
 		return nil
@@ -132,81 +90,26 @@ func msgCmp(a, b Msg) int {
 }
 
 // engine is the per-Run execution state: the handler, flat edge-endpoint
-// views, and pointers to the Network's persistent scratch.
+// views, the Network's persistent scratch, and the current round's
+// accumulators.
 type engine struct {
 	net     *Network
 	sc      *scratch
 	handler Handler
-	W       int // pool size (including the main goroutine as worker 0)
 	// us/vs are the graph's flat endpoint arrays (graph.Endpoints): the
 	// validation and routing loops touch 8 bytes per message instead of a
 	// 24-byte Edge struct.
 	us, vs []int32
-}
 
-// pool is the persistent worker pool of one Network. It is spawned lazily
-// on the first parallel round and survives across Run calls (reusing the
-// parked goroutines instead of respawning W-1 goroutines per Run); it is
-// torn down by Network.Close, or by a GC cleanup if the owning Network is
-// dropped without Close. Worker w parks on start[w]; the main goroutine
-// works as worker 0. Channel operations carry no payload, so a round's
-// dispatch performs no allocation.
-type pool struct {
-	W     int
-	start []chan int8 // per-worker phase trigger (1=handlers, 2=route)
-	done  chan struct{}
-	// cur is the engine of the Run being dispatched. It is set before the
-	// trigger sends and cleared at the barrier, so a parked pool holds no
-	// reference to any Network (letting the GC cleanup fire).
-	cur  *engine
-	stop sync.Once
-}
-
-func newPool(W int) *pool {
-	p := &pool{W: W, start: make([]chan int8, W), done: make(chan struct{}, W)}
-	for w := 1; w < W; w++ {
-		p.start[w] = make(chan int8)
-		go func(w int) {
-			for ph := range p.start[w] {
-				e := p.cur
-				if ph == 1 {
-					e.runHandlers(w, W)
-				} else {
-					e.route(w, W)
-				}
-				p.done <- struct{}{}
-			}
-		}(w)
-	}
-	return p
-}
-
-// dispatch fans one phase out over the pool and blocks until every worker
-// has finished it.
-func (p *pool) dispatch(e *engine, phase int8) {
-	p.cur = e
-	for w := 1; w < p.W; w++ {
-		p.start[w] <- phase
-	}
-	if phase == 1 {
-		e.runHandlers(0, p.W)
-	} else {
-		e.route(0, p.W)
-	}
-	for w := 1; w < p.W; w++ {
-		<-p.done
-	}
-	p.cur = nil
-}
-
-// close releases the pool goroutines. Idempotent; must not race with a Run
-// on the owning Network.
-func (p *pool) close() {
-	p.stop.Do(func() {
-		for w := 1; w < p.W; w++ {
-			close(p.start[w])
-		}
-	})
+	messages, words int64
+	maxEdge         int32
+	maxNode         int64 // peak per-node payload words sent this round
+	// The round's first validation and first bandwidth error. Handlers run
+	// in ascending vertex order, so each is the one with the smallest
+	// (sender, outbox index); Run reports a validation error before a
+	// bandwidth error.
+	valErr error
+	bwErr  *ErrBandwidth
 }
 
 // Run executes the given handler to quiescence: it stops when no messages
@@ -224,22 +127,12 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 		return fmt.Errorf("congest: concurrent or re-entrant Run on the same Network")
 	}
 	defer n.running.Store(false)
-	workers := n.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if n.sc == nil {
 		n.sc = &scratch{}
 	}
 	sc := n.sc
-	sc.ensure(g.N, g.M(), workers)
-	// A worker-count change (n.Workers edited between Runs) retires the old
-	// pool; the next parallel round spawns one of the right size.
-	if n.pool != nil && n.pool.W != workers {
-		n.pool.close()
-		n.pool = nil
-	}
-	us, vs := g.Endpoints() // also forces the CSR build pre-fan-out
+	sc.ensure(g.N, g.M())
+	us, vs := g.Endpoints()
 
 	// Reset per-Run state. A previous errored Run may have left stale
 	// inboxes or worklist flags behind.
@@ -249,7 +142,6 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 		sc.handed[v] = false
 		sc.active[v] = false
 		sc.pending[v] = false
-		sc.hasMsg[v] = false
 	}
 	sc.sched = sc.sched[:0]
 	sc.next = sc.next[:0]
@@ -271,8 +163,7 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 		slices.Sort(sc.next)
 	}
 
-	e := &sc.eng
-	*e = engine{net: n, sc: sc, handler: handler, W: workers, us: us, vs: vs}
+	e := engine{net: n, sc: sc, handler: handler, us: us, vs: vs}
 
 	// The observer is latched once per Run: arming costs phase timestamps
 	// and one sample per round; disarmed, the hot loop pays a single nil
@@ -298,31 +189,17 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 		}
 
 		// Phase 1: run handlers, validate outboxes, account bandwidth.
-		// Each scheduled node is processed by exactly one worker, and every
-		// (edge,direction) counter slot is owned by its unique sender, so
-		// the phase needs no locks.
-		var roundMsgs, roundWords, roundMaxNode int64
-		var roundMaxEdge int32
-		used := e.runPhase(1, len(sc.sched) >= parallelSchedMin)
-		for w := 0; w < used; w++ {
-			ws := &sc.workers[w]
-			n.stats.Messages += ws.messages
-			n.stats.Words += ws.words
-			if int(ws.maxEdge) > n.stats.MaxEdgeWords {
-				n.stats.MaxEdgeWords = int(ws.maxEdge)
-			}
-			roundMsgs += ws.messages
-			roundWords += ws.words
-			if ws.maxEdge > roundMaxEdge {
-				roundMaxEdge = ws.maxEdge
-			}
-			if ws.maxNode > roundMaxNode {
-				roundMaxNode = ws.maxNode
-			}
-			ws.messages, ws.words, ws.maxEdge, ws.maxNode = 0, 0, 0, 0
+		e.runHandlers()
+		n.stats.Messages += e.messages
+		n.stats.Words += e.words
+		if int(e.maxEdge) > n.stats.MaxEdgeWords {
+			n.stats.MaxEdgeWords = int(e.maxEdge)
 		}
-		if err := e.mergeErrors(used); err != nil {
-			return err
+		if e.valErr != nil {
+			return e.valErr
+		}
+		if e.bwErr != nil {
+			return e.bwErr
 		}
 		var handlerNs int64
 		if observer != nil {
@@ -338,30 +215,19 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 			}
 		}
 
-		// Phase 2: route messages to receiver inboxes, sharded by receiver.
-		used = 0
-		if roundMsgs > 0 {
-			used = e.runPhase(2, roundMsgs >= int64(parallelMsgsPerWorker*e.W))
-		}
-		for w := 0; w < used; w++ {
-			ws := &sc.workers[w]
-			for _, to := range ws.recv {
-				if !sc.pending[to] {
-					sc.pending[to] = true
-					sc.next = append(sc.next, to)
-				}
-			}
-			ws.recv = ws.recv[:0]
+		// Phase 2: route messages to receiver inboxes.
+		if e.messages > 0 {
+			e.route()
 		}
 		slices.Sort(sc.next)
 		if observer != nil {
 			observer.ObserveRound(RoundSample{
 				Round:        n.stats.SimulatedRounds,
 				Active:       len(sc.sched),
-				Messages:     roundMsgs,
-				Words:        roundWords,
-				MaxEdgeWords: int(roundMaxEdge),
-				MaxNodeWords: roundMaxNode,
+				Messages:     e.messages,
+				Words:        e.words,
+				MaxEdgeWords: int(e.maxEdge),
+				MaxNodeWords: e.maxNode,
 				HandlerNs:    handlerNs,
 				RouteNs:      time.Since(tRoute).Nanoseconds(),
 			})
@@ -369,55 +235,16 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 	}
 }
 
-// runPhase executes one phase, parallel if the pool is big enough and the
-// caller's size gate says the work amortizes the barrier. It returns the
-// number of worker slots the phase wrote to, so the merge loop and the
-// execution path can never disagree. The Network's persistent pool is
-// spawned lazily on the first parallel round and reused by later Runs; see
-// Network.Close for the teardown contract.
-func (e *engine) runPhase(phase int8, parallel bool) int {
-	if e.W > 1 && parallel {
-		n := e.net
-		if n.pool == nil {
-			n.pool = newPool(e.W)
-			// Backstop for Networks dropped without Close: once the Network
-			// is unreachable no Run can be active, so closing the parked
-			// pool is safe. The pool never points back at the Network while
-			// parked (dispatch clears cur), so the cleanup can fire.
-			runtime.AddCleanup(n, func(p *pool) { p.close() }, n.pool)
-		}
-		n.pool.dispatch(e, phase)
-		return e.W
-	}
-	if phase == 1 {
-		e.runHandlers(0, 1)
-	} else {
-		e.route(0, 1)
-	}
-	return 1
-}
-
-// runHandlers executes worker w's contiguous share of the schedule: the
-// handler call, outbox validation, and bandwidth accounting.
-func (e *engine) runHandlers(w, W int) {
+// runHandlers executes the round's schedule: the handler call, outbox
+// validation, and bandwidth accounting. It resets and fills the round
+// accumulators of e.
+func (e *engine) runHandlers() {
 	sc, g := e.sc, e.net.G
-	sched := sc.sched
-	chunk := (len(sched) + W - 1) / W
-	lo := w * chunk
-	if lo > len(sched) {
-		lo = len(sched)
-	}
-	hi := lo + chunk
-	if hi > len(sched) {
-		hi = len(sched)
-	}
-	ws := &sc.workers[w]
 	budget := int32(e.net.WordsPerEdge)
 	epoch := sc.epoch
-	var messages, words int64
-	maxEdge := ws.maxEdge
-	maxNode := ws.maxNode
-	for _, v := range sched[lo:hi] {
+	var messages, words, maxNode int64
+	var maxEdge int32
+	for _, v := range sc.sched {
 		nodeStart := words
 		out, act := e.handler(v, sc.inboxes[v])
 		sc.inboxes[v] = sc.inboxes[v][:0]
@@ -426,7 +253,7 @@ func (e *engine) runHandlers(w, W int) {
 		// Re-adopt the OutBuf envelope (possibly grown by append) only when
 		// this handler invocation took it: adopting arbitrary returned
 		// slices would let a buffer shared across nodes alias multiple
-		// outBufs entries and race on a later parallel Run.
+		// outBufs entries.
 		if sc.handed[v] {
 			sc.handed[v] = false
 			if cap(out) > cap(sc.outBufs[v]) {
@@ -437,18 +264,18 @@ func (e *engine) runHandlers(w, W int) {
 		for i := range out {
 			m := &out[i]
 			if m.From != v {
-				ws.recordVal(fmt.Errorf("congest: node %d forged sender %d", v, m.From), v, i)
+				e.recordVal(fmt.Errorf("congest: node %d forged sender %d", v, m.From))
 				break
 			}
 			if m.EdgeID < 0 || m.EdgeID >= g.M() {
-				ws.recordVal(fmt.Errorf("congest: node %d sent on bad edge %d", v, m.EdgeID), v, i)
+				e.recordVal(fmt.Errorf("congest: node %d sent on bad edge %d", v, m.EdgeID))
 				break
 			}
 			dir := 0
 			if e.vs[m.EdgeID] == v32 {
 				dir = 1
 			} else if e.us[m.EdgeID] != v32 {
-				ws.recordVal(fmt.Errorf("congest: node %d sent on non-incident edge %d", v, m.EdgeID), v, i)
+				e.recordVal(fmt.Errorf("congest: node %d sent on non-incident edge %d", v, m.EdgeID))
 				break
 			}
 			slot := 2*m.EdgeID + dir
@@ -461,10 +288,9 @@ func (e *engine) runHandlers(w, W int) {
 				cost = 1 // an empty message still occupies the slot
 			}
 			sc.edgeWords[slot] += cost
-			if sc.edgeWords[slot] > budget && ws.bwErr == nil {
-				ws.bwErr = &ErrBandwidth{EdgeID: m.EdgeID, From: v,
+			if sc.edgeWords[slot] > budget && e.bwErr == nil {
+				e.bwErr = &ErrBandwidth{EdgeID: m.EdgeID, From: v,
 					Words: int(sc.edgeWords[slot]), Budget: e.net.WordsPerEdge}
-				ws.bwV, ws.bwI = v, i
 			}
 			if sc.edgeWords[slot] > maxEdge {
 				maxEdge = sc.edgeWords[slot]
@@ -476,57 +302,22 @@ func (e *engine) runHandlers(w, W int) {
 			maxNode = nw
 		}
 	}
-	ws.messages += messages
-	ws.words += words
-	ws.maxEdge = maxEdge
-	ws.maxNode = maxNode
+	e.messages, e.words, e.maxEdge, e.maxNode = messages, words, maxEdge, maxNode
 }
 
-func (ws *wstate) recordVal(err error, v, i int) {
-	if ws.valErr == nil {
-		ws.valErr, ws.valV, ws.valI = err, v, i
+func (e *engine) recordVal(err error) {
+	if e.valErr == nil {
+		e.valErr = err
 	}
 }
 
-// mergeErrors picks the deterministic first error across workers: the one
-// with the smallest (sender, outbox index), validation errors first. The
-// result is therefore independent of the worker count.
-func (e *engine) mergeErrors(used int) error {
-	var val error
-	var bw *ErrBandwidth
-	valV, valI, bwV, bwI := -1, -1, -1, -1
-	for w := 0; w < used; w++ {
-		ws := &e.sc.workers[w]
-		if ws.valErr != nil && (valV < 0 || ws.valV < valV || (ws.valV == valV && ws.valI < valI)) {
-			val, valV, valI = ws.valErr, ws.valV, ws.valI
-		}
-		if ws.bwErr != nil && (bwV < 0 || ws.bwV < bwV || (ws.bwV == bwV && ws.bwI < bwI)) {
-			bw, bwV, bwI = ws.bwErr, ws.bwV, ws.bwI
-		}
-		ws.valErr, ws.bwErr = nil, nil
-	}
-	if val != nil {
-		return val
-	}
-	if bw != nil {
-		return bw
-	}
-	return nil
-}
-
-// route delivers every outbox message whose receiver falls in worker w's
-// contiguous receiver range, scanning senders in ascending schedule order —
-// so each inbox is appended to by exactly one worker, in deterministic
-// order, and is sorted by that worker once its scan completes.
-func (e *engine) route(w, W int) {
-	sc, g := e.sc, e.net.G
-	n := g.N
-	lo, hi := w*n/W, (w+1)*n/W
-	if w == W-1 {
-		hi = n
-	}
-	ws := &sc.workers[w]
-	recv := ws.recv
+// route delivers every outbox message, scanning senders in ascending order,
+// and schedules each receiver for the next round. Only receivers hold a
+// non-empty inbox afterwards (every scheduled node's inbox was consumed by
+// its handler), so sorting the non-empty inboxes on the next worklist
+// establishes the (From, EdgeID) order.
+func (e *engine) route() {
+	sc := e.sc
 	us, vs := e.us, e.vs
 	for _, v := range sc.sched {
 		v32 := int32(v)
@@ -534,22 +325,16 @@ func (e *engine) route(w, W int) {
 			// The far endpoint of an incident edge, branch-free: v is one
 			// of {us[id], vs[id]}, so XOR cancels it out.
 			to := int(us[m.EdgeID] ^ vs[m.EdgeID] ^ v32)
-			if to < lo || to >= hi {
-				continue
-			}
-			if !sc.hasMsg[to] {
-				sc.hasMsg[to] = true
-				recv = append(recv, to)
+			if !sc.pending[to] {
+				sc.pending[to] = true
+				sc.next = append(sc.next, to)
 			}
 			sc.inboxes[to] = append(sc.inboxes[to], m)
 		}
 	}
-	// Deterministic inbox order regardless of outbox order: (From, EdgeID).
-	for _, to := range recv {
+	for _, to := range sc.next {
 		if len(sc.inboxes[to]) > 1 {
 			slices.SortFunc(sc.inboxes[to], msgCmp)
 		}
-		sc.hasMsg[to] = false
 	}
-	ws.recv = recv
 }

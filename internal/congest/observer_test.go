@@ -15,7 +15,6 @@ func ringNet(n, laps int) (*Network, Handler, *int) {
 		g.MustAddEdge(v, (v+1)%n, 1)
 	}
 	net := NewNetwork(g)
-	net.Workers = 1
 	hops := new(int)
 	out := make([]Msg, 0, 1)
 	handler := func(v int, inbox []Msg) ([]Msg, bool) {
@@ -32,7 +31,6 @@ func ringNet(n, laps int) (*Network, Handler, *int) {
 
 func TestRoundRecorderMatchesStats(t *testing.T) {
 	net, handler, _ := ringNet(32, 4)
-	defer net.Close()
 	rec := NewRoundRecorder(4096, 1)
 	net.Observer = rec
 	if err := net.Run(handler, []int{0}, 10000); err != nil {
@@ -71,7 +69,6 @@ func TestRoundRecorderMatchesStats(t *testing.T) {
 
 func TestRoundRecorderStrideThinning(t *testing.T) {
 	net, handler, hops := ringNet(64, 32) // 2048 rounds
-	defer net.Close()
 	rec := NewRoundRecorder(64, 1)
 	net.Observer = rec
 	if err := net.Run(handler, []int{0}, 100000); err != nil {
@@ -116,7 +113,6 @@ func TestRoundRecorderStrideThinning(t *testing.T) {
 // telemetry hook may cost one branch per round, nothing more.
 func TestDisarmedObserverZeroAllocs(t *testing.T) {
 	net, handler, hops := ringNet(256, 4)
-	defer net.Close()
 	run := func() {
 		*hops = 0
 		if err := net.Run(handler, []int{0}, 2000); err != nil {
@@ -133,7 +129,6 @@ func TestDisarmedObserverZeroAllocs(t *testing.T) {
 // in the recorder's preallocated ring, thinning compacts in place.
 func TestArmedObserverZeroSteadyStateAllocs(t *testing.T) {
 	net, handler, hops := ringNet(256, 4)
-	defer net.Close()
 	rec := NewRoundRecorder(128, 1)
 	net.Observer = rec
 	run := func() {
@@ -173,7 +168,6 @@ func BenchmarkRelayRingObserved(b *testing.B) {
 	const n = 256
 	const laps = 16
 	net, handler, hops := ringNet(n, laps)
-	defer net.Close()
 	rec := NewRoundRecorder(1024, 1)
 	net.Observer = rec
 	b.ReportAllocs()

@@ -41,16 +41,17 @@ type Options struct {
 	MST MSTMode
 	// Root is the vertex the BFS and spanning trees are rooted at.
 	Root int
-	// Workers sets the engine worker-pool size of the network Solve
-	// creates (<=0: GOMAXPROCS). Callers that already parallelize above
-	// the engine — like the experiment harness — set 1.
+	// Workers is ignored.
+	//
+	// Deprecated: the engine runs every solve sequentially. Workers is
+	// kept only so the separate perfbench module, which sets it, keeps
+	// compiling; code in this module must not use it.
 	Workers int
 	// Progress, if non-nil, is invoked at the start of each pipeline stage
 	// ("bfs", "mst", "tap", "assemble") from the solving goroutine. The
-	// service layer uses it to surface per-job progress. Like Workers it is
-	// an execution knob, not part of result identity: the engine is
-	// deterministic for any worker count, so content-addressed caches key
-	// on the remaining fields only.
+	// service layer uses it to surface per-job progress. It is an
+	// execution knob, not part of result identity, so content-addressed
+	// caches key on the remaining fields only.
 	Progress func(stage string)
 	// StageStats, if non-nil, is invoked when a pipeline stage completes,
 	// with the engine cost delta (rounds, messages, words) that stage
@@ -92,15 +93,13 @@ type Result struct {
 var ErrNot2EC = errors.New("ecss: input graph is not 2-edge-connected")
 
 // Solve runs the full pipeline of Theorem 1.1 on g and returns the solution
-// together with the network used (for round accounting inspection). The
-// caller owns the returned network and should Close it when done (see the
-// congest package docs on the worker-pool lifecycle). Long-running callers
-// that reuse networks across solves use SolveOn directly.
+// together with the network used (for round accounting inspection).
+// Long-running callers that reuse networks across solves use SolveOn
+// directly.
 func Solve(g *graph.Graph, opt Options) (*Result, *congest.Network, error) {
 	net := congest.NewNetwork(g)
 	res, err := SolveOn(net, opt)
 	if err != nil {
-		net.Close()
 		return nil, nil, err
 	}
 	return res, net, nil
@@ -108,7 +107,7 @@ func Solve(g *graph.Graph, opt Options) (*Result, *congest.Network, error) {
 
 // SolveOn runs the full pipeline on a caller-provided network over the
 // instance net.G — typically one taken from a service NetworkPool whose
-// engine scratch and worker pool are already warm. The caller retains
+// engine scratch is already sized to the instance. The caller retains
 // ownership of net. Result.Stats is the cost delta of this call, so both
 // fresh and reused networks report per-solve bills; Result.Stats.
 // MaxEdgeWords is the network-lifetime maximum unless the caller calls
@@ -120,9 +119,6 @@ func SolveOn(net *congest.Network, opt Options) (*Result, error) {
 	}
 	if g.N < 3 {
 		return nil, fmt.Errorf("ecss: need at least 3 vertices")
-	}
-	if opt.Workers > 0 {
-		net.Workers = opt.Workers
 	}
 	// step opens a stage: it first closes the previous one by reporting the
 	// engine cost consumed since its start (StageStats), then announces the

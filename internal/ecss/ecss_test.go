@@ -153,7 +153,6 @@ func TestRemovalToleranceOfSolution(t *testing.T) {
 func TestStageStatsDeltas(t *testing.T) {
 	g := gen2EC(11, 40, 35, graph.WeightUniform)
 	opt := DefaultOptions()
-	opt.Workers = 1
 	var order []string
 	deltas := map[string]congest.Stats{}
 	opt.Progress = func(stage string) { order = append(order, "p:"+stage) }
@@ -161,11 +160,10 @@ func TestStageStatsDeltas(t *testing.T) {
 		order = append(order, "s:"+stage)
 		deltas[stage] = d
 	}
-	res, net, err := Solve(g, opt)
+	res, _, err := Solve(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
 	// Per stage: StageStats closes the previous stage before Progress opens
 	// the next, and the final stage flushes at return.
 	want := []string{"p:bfs", "s:bfs", "p:mst", "s:mst", "p:tap", "s:tap", "p:assemble", "s:assemble"}

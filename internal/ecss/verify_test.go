@@ -15,11 +15,10 @@ func resultFor(g *graph.Graph, ids []int) *Result {
 
 func TestVerifyAcceptsValidSolution(t *testing.T) {
 	g := gen2EC(21, 40, 40, graph.WeightUniform)
-	res, net, err := Solve(g, DefaultOptions())
+	res, _, err := Solve(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
 	if err := Verify(g, res); err != nil {
 		t.Fatalf("valid solution rejected: %v", err)
 	}
@@ -27,11 +26,10 @@ func TestVerifyAcceptsValidSolution(t *testing.T) {
 
 func TestVerifyRejectsDroppedTreeEdge(t *testing.T) {
 	g := gen2EC(22, 40, 40, graph.WeightUniform)
-	res, net, err := Solve(g, DefaultOptions())
+	res, _, err := Solve(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
 	// Drop one MST edge from the solution (a solution edge that is not part
 	// of the augmentation): the subgraph either disconnects or the
 	// remaining incident edges become bridges.

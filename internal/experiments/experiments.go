@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"twoecss/internal/baseline"
+	"twoecss/internal/congest"
 	"twoecss/internal/ecss"
 	"twoecss/internal/graph"
 	"twoecss/internal/layering"
@@ -128,7 +129,6 @@ func E1(sizes []int, seed int64) (*Table, error) {
 			return c, err
 		}
 		opt := ecss.DefaultOptions()
-		opt.Workers = 1 // cell-level parallelism only; see parallel.go
 		res, net, err := ecss.Solve(g, opt)
 		if err != nil {
 			return c, err
@@ -166,7 +166,7 @@ func E2(sizes []int, seed int64) (*Table, error) {
 		n := sizes[i]
 		cfg := graph.DefaultGenConfig(seed + int64(n))
 		g := graph.PathWithIntervals(n, n, cfg)
-		net := newNetwork(g)
+		net := congest.NewNetwork(g)
 		bfs, err := primitives.BuildBFS(net, 0)
 		if err != nil {
 			return c, err
@@ -260,7 +260,6 @@ func E3(sizes []int, seed int64) (*Table, error) {
 		}
 		opt := ecss.DefaultOptions()
 		opt.Eps = eps
-		opt.Workers = 1 // cell-level parallelism only; see parallel.go
 		_, net, err := ecss.Solve(g, opt)
 		if err != nil {
 			return c, err
@@ -303,7 +302,7 @@ func E4(sizes []int, seed int64) (*Table, error) {
 		if err != nil {
 			return c, err
 		}
-		net := newNetwork(g)
+		net := congest.NewNetwork(g)
 		bfs, err := primitives.BuildBFS(net, 0)
 		if err != nil {
 			return c, err
@@ -429,7 +428,7 @@ func E6(sizes []int, seed int64) (*Table, error) {
 		if _, err := graph.Ensure2EC(g, cfg); err != nil {
 			return c, err
 		}
-		net := newNetwork(g)
+		net := congest.NewNetwork(g)
 		bfs, err := primitives.BuildBFS(net, 0)
 		if err != nil {
 			return c, err
@@ -483,7 +482,7 @@ func E7(sizes []int, seed int64) (*Table, error) {
 			return c, err
 		}
 		for _, variant := range []tap.Variant{tap.Cover4, tap.Cover2} {
-			net := newNetwork(g)
+			net := congest.NewNetwork(g)
 			bfs, err := primitives.BuildBFS(net, 0)
 			if err != nil {
 				return c, err
@@ -534,7 +533,7 @@ func E8(count int, seed int64) (*Table, error) {
 		if _, err := graph.Ensure2EC(g, cfg); err != nil {
 			return c, err
 		}
-		net := newNetwork(g)
+		net := congest.NewNetwork(g)
 		bfs, err := primitives.BuildBFS(net, 0)
 		if err != nil {
 			return c, err
@@ -637,7 +636,7 @@ func E10(sizes []int, seed int64) (*Table, error) {
 			return c, err
 		}
 		maxOf := func(variant tap.Variant) (int, error) {
-			net := newNetwork(g)
+			net := congest.NewNetwork(g)
 			bfs, err := primitives.BuildBFS(net, 0)
 			if err != nil {
 				return 0, err
@@ -691,7 +690,7 @@ func E11(sizes []int, seed int64) (*Table, error) {
 		if err != nil {
 			return c, err
 		}
-		net := newNetwork(g)
+		net := congest.NewNetwork(g)
 		bfs, err := primitives.BuildBFS(net, 0)
 		if err != nil {
 			return c, err
@@ -732,7 +731,7 @@ func E12(trials int, n int, seed int64) (*Table, error) {
 		rng := rand.New(rand.NewSource(cellSeed(seed, trial)))
 		cfg := graph.GenConfig{Mode: graph.WeightUniform, MaxW: 50, Rng: rng}
 		g := graph.RandomSpanningTreePlus(n, n, cfg)
-		net := newNetwork(g)
+		net := congest.NewNetwork(g)
 		bfs, err := primitives.BuildBFS(net, 0)
 		if err != nil {
 			return c, err

@@ -232,7 +232,7 @@ func Boruvka(net *congest.Network, bfsRoot int) ([]int, error) {
 // exchangeComp has every vertex send its component id to all neighbors in
 // one round and returns nbrComp[v][i] = component of the other endpoint of
 // incident edge i of v. Each vertex's table is written only by its own
-// handler, so parallel rounds never share a map.
+// handler: a handler touches only its own vertex's state.
 func exchangeComp(net *congest.Network, comp []int) ([]map[int]int, error) {
 	g := net.G
 	out := make([]map[int]int, g.N)

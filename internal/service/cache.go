@@ -11,9 +11,8 @@ import (
 
 // Key is the content address of a solve: SHA-256 over the canonical graph
 // digest (graph.Hash) concatenated with the result-relevant Options fields.
-// Execution knobs (Workers, Progress) are excluded — the engine is
-// deterministic for any worker count (DESIGN.md §3.4), so they cannot
-// change the result.
+// Execution knobs (Progress, StageStats) are excluded: they observe a
+// solve and cannot change its result.
 type Key [32]byte
 
 func keyFor(graphHash [32]byte, opt ecss.Options) Key {

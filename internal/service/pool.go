@@ -10,17 +10,16 @@ import (
 
 // NetworkPool keeps idle congest.Networks keyed by the canonical hash of
 // their graph, so repeated solves of the same topology reuse a warm engine
-// — scratch buffers sized to the instance and the persistent worker-pool
-// goroutines behind Network.Close (DESIGN.md §6.3) — instead of rebuilding
-// them per job. Get hands out exclusive ownership of a network; Put returns
-// it. Idle capacity is bounded: Put beyond capacity evicts (and Closes) the
-// least-recently returned network. All methods are safe for concurrent use.
+// — scratch buffers sized to the instance — instead of rebuilding it per
+// job. Get hands out exclusive ownership of a network; Put returns it. Idle
+// capacity is bounded: Put beyond capacity evicts the least-recently
+// returned network, which the garbage collector then reclaims. All methods
+// are safe for concurrent use.
 type NetworkPool struct {
 	mu    sync.Mutex
 	capN  int
 	idle  []poolEntry // LRU order: index 0 is the eviction candidate
 	stats NetworkPoolStats
-	done  bool
 }
 
 type poolEntry struct {
@@ -37,7 +36,7 @@ type NetworkPoolStats struct {
 }
 
 // NewNetworkPool returns a pool holding at most capN idle networks
-// (capN <= 0 disables pooling: every Put closes the network).
+// (capN <= 0 disables pooling: every Put drops the network).
 func NewNetworkPool(capN int) *NetworkPool {
 	return &NetworkPool{capN: capN}
 }
@@ -64,26 +63,27 @@ func (p *NetworkPool) Get(key [32]byte, g *graph.Graph) *congest.Network {
 	return congest.NewNetwork(g)
 }
 
-// Put returns a network obtained from Get. If the pool is full or closed
-// the network (or the evicted oldest idle one) is Closed.
+// Put returns a network obtained from Get. If the pool is full it evicts
+// the oldest idle network to make room.
 func (p *NetworkPool) Put(key [32]byte, net *congest.Network) {
-	var evict *congest.Network
+	if p.capN <= 0 {
+		return
+	}
 	p.mu.Lock()
-	switch {
-	case p.done || p.capN <= 0:
-		evict = net
-	default:
-		if len(p.idle) >= p.capN {
-			evict = p.idle[0].net
-			p.idle = slices.Delete(p.idle, 0, 1)
-			p.stats.Evictions++
-		}
-		p.idle = append(p.idle, poolEntry{key: key, net: net})
+	defer p.mu.Unlock()
+	if len(p.idle) >= p.capN {
+		p.idle = slices.Delete(p.idle, 0, 1)
+		p.stats.Evictions++
 	}
+	p.idle = append(p.idle, poolEntry{key: key, net: net})
+}
+
+// dropIdle forgets every idle network, leaving them to the garbage
+// collector. Drain calls it once the workers have exited.
+func (p *NetworkPool) dropIdle() {
+	p.mu.Lock()
+	p.idle = nil
 	p.mu.Unlock()
-	if evict != nil {
-		evict.Close()
-	}
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -93,17 +93,4 @@ func (p *NetworkPool) Stats() NetworkPoolStats {
 	st := p.stats
 	st.Idle = len(p.idle)
 	return st
-}
-
-// Close closes every idle network and makes future Puts close immediately.
-// Networks currently checked out are closed by their eventual Put.
-func (p *NetworkPool) Close() {
-	p.mu.Lock()
-	p.done = true
-	idle := p.idle
-	p.idle = nil
-	p.mu.Unlock()
-	for _, e := range idle {
-		e.net.Close()
-	}
 }

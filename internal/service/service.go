@@ -42,9 +42,12 @@ type Config struct {
 	CacheEntries int
 	// PoolEntries bounds the idle NetworkPool (default Workers).
 	PoolEntries int
-	// NetWorkers is the engine worker-pool size used per solve (default 1:
-	// parallelism lives at the job level, matching the experiment harness
-	// convention).
+	// NetWorkers is ignored.
+	//
+	// Deprecated: the engine runs every solve sequentially; parallelism
+	// lives at the job level (Workers). NetWorkers is kept only so the
+	// separate perfbench module, which sets it, keeps compiling; code in
+	// this module must not use it.
 	NetWorkers int
 	// Store, when non-nil, is the disk-backed result store the in-memory
 	// cache writes through to. On New the most recently used entries
@@ -81,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolEntries == 0 {
 		c.PoolEntries = c.Workers
-	}
-	if c.NetWorkers <= 0 {
-		c.NetWorkers = 1
 	}
 	if c.ProfileRounds == 0 {
 		c.ProfileRounds = 512
@@ -425,7 +425,6 @@ func (s *Service) prepare(g *graph.Graph, opt ecss.Options, adm Admit) (ecss.Opt
 	if adm.Priority < 0 || adm.Priority >= numPriorities {
 		return opt, [32]byte{}, fmt.Errorf("service: priority %d out of range", adm.Priority)
 	}
-	opt.Workers = s.cfg.NetWorkers
 	opt.Progress = nil
 	opt.StageStats = nil
 	return opt, g.Hash(), nil
@@ -761,7 +760,7 @@ func (s *Service) runJob(j *Job) {
 
 // solveOnce runs one pipeline attempt on a pooled network, converting
 // solver panics into errors. A network that panicked mid-solve is in an
-// unknown state and is closed, never returned to the pool. rec, when
+// unknown state and is dropped, never returned to the pool. rec, when
 // non-nil, is armed as the network's round observer for the duration of the
 // solve and disarmed before the network can re-enter the pool.
 func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *congest.RoundRecorder) (raw []byte, err error) {
@@ -777,9 +776,6 @@ func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *conge
 			s.stats.PanicsRecovered++
 			s.mu.Unlock()
 			err = &panicError{val: r}
-			if net != nil {
-				net.Close()
-			}
 			return
 		}
 		if net != nil {
@@ -872,12 +868,13 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Drain stops admission, lets the workers finish every queued job, closes
-// the network pool, and — when a store is configured — flushes its pending
-// writes to disk and closes it, leaving a replayable index. It returns nil
-// on a clean drain or ctx.Err() if the context expires first (workers then
-// keep draining in the background; pool and store are closed once they
-// finish). Drain is one-shot: callers coordinate so it runs once.
+// Drain stops admission, lets the workers finish every queued job, drops
+// the idle pooled networks, and — when a store is configured — flushes its
+// pending writes to disk and closes it, leaving a replayable index. It
+// returns nil on a clean drain or ctx.Err() if the context expires first
+// (workers then keep draining in the background; the pool is emptied and
+// the store closed once they finish). Drain is one-shot: callers
+// coordinate so it runs once.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -894,7 +891,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		s.pool.Close()
+		s.pool.dropIdle()
 		if s.store != nil {
 			// Every worker has returned, so every write-through Put is
 			// already enqueued; Close flushes them durably in FIFO order.

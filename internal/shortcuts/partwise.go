@@ -45,8 +45,8 @@ type AggPlan struct {
 	// touches only used queues. slab[v] backs v's message payloads (3 words each); payload
 	// slices alias it, and append growth relocates only future payloads,
 	// so live ones stay valid. Reset per run, amortizing payload
-	// allocation to zero. Both are per sender: handlers of distinct
-	// vertices run concurrently and must not append to shared slices.
+	// allocation to zero. Both are per sender: a handler touches only
+	// its own vertex's state.
 	slots [][]int32
 	slab  [][]Word
 }
