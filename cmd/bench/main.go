@@ -198,9 +198,9 @@ func run() error {
 }
 
 // runEngineBench solves the same ring instance repeatedly on one reused
-// network — the pooled-network serving path — with the round observer
-// disarmed and then armed with a profile-sized RoundRecorder, reporting
-// per-solve wall time, allocations, and the engine's own cost counters.
+// network with the round observer disarmed and then armed with a
+// profile-sized RoundRecorder, reporting per-solve wall time, allocations,
+// and the engine's own cost counters.
 // The disarmed row is the baseline every solve pays; the armed row is what
 // -profile-rounds adds per job.
 func runEngineBench(seed int64) ([]engineObsRow, error) {

@@ -1,8 +1,8 @@
 // Command ecssd is the long-running 2-ECSS solver service: it fronts the
 // Theorem 1.1 pipeline with a bounded job queue, a solver worker pool
-// (one sequential solve per worker) reusing pooled CONGEST networks, and a
-// content-addressed result cache (internal/service, DESIGN.md §7), exposed
-// as an HTTP JSON API:
+// (one sequential solve per worker, each on a CONGEST network built for
+// it), and a content-addressed result cache (internal/service, DESIGN.md
+// §7), exposed as an HTTP JSON API:
 //
 //	POST /v1/solve     submit a solve ({"graph":{"n":..,"edges":[[u,v,w],..]},
 //	                   "options":{"eps":..,"variant":..,"mst":..,"root":..},
@@ -12,17 +12,18 @@
 //	GET  /v1/jobs/{id}/trace   recorded per-job event trace (JSON)
 //	GET  /v1/jobs/{id}/profile engine round profile and per-stage costs (JSON)
 //	GET  /v1/events    SSE firehose of every lifecycle event (?types= filter)
-//	GET  /v1/stats     queue/cache/pool counters
+//	GET  /v1/stats     queue/cache/store counters
 //	GET  /metrics      Prometheus text exposition
 //	GET  /healthz      liveness
 //
 // With -store-dir the result cache is disk-backed and crash-safe
 // (internal/store, DESIGN.md §8): completed solves are written through to
-// content-addressed files, a restart replays the store's index — verifying
-// checksums and quarantining corrupt entries — and pre-warms the memory
-// cache, so previously solved instances are served byte-identically with no
-// new solves. -store-max-bytes bounds the on-disk size via LRU eviction.
-// Warm reads are served zero-copy from mmapped entry files. With
+// content-addressed files, and a restart replays the store's index —
+// verifying checksums and quarantining corrupt entries. The first request
+// for a stored instance reads it from the store and adopts it into the
+// memory cache, so previously solved instances are served byte-identically
+// with no new solves. -store-max-bytes bounds the on-disk size via LRU
+// eviction. Warm reads are served zero-copy from mmapped entry files. With
 // -store-read-only the directory is never mutated, so N shards can serve
 // one warm store concurrently (behind ecssrouter, say) while sharing the
 // mapped pages.
@@ -38,7 +39,7 @@
 //
 // Usage:
 //
-//	ecssd [-addr :8080] [-queue 256] [-workers N] [-cache 512] [-pool N]
+//	ecssd [-addr :8080] [-queue 256] [-workers N] [-cache 512]
 //	      [-drain-timeout 30s] [-debug-addr ADDR]
 //	      [-store-dir DIR] [-store-max-bytes 268435456] [-reverify 0]
 //	      [-profile-rounds 512] [-slo-latency 2s]
@@ -76,10 +77,9 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
-	queue := flag.Int("queue", 256, "job queue depth (admission bound)")
+	queue := flag.Int("queue", 256, "job queue depth, the admission bound (<=0: 64)")
 	workers := flag.Int("workers", 0, "solver workers (<=0: GOMAXPROCS)")
-	cache := flag.Int("cache", 512, "result cache entries")
-	pool := flag.Int("pool", 0, "idle network pool entries (<=0: workers)")
+	cache := flag.Int("cache", 512, "memory result cache entries (0: 512; <0: no memory cache)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
 	storeDir := flag.String("store-dir", "", "disk-backed result store directory (empty: results are not persisted)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "on-disk store budget, LRU-evicted (<=0: unbounded)")
@@ -133,7 +133,6 @@ func run() error {
 		QueueDepth:    *queue,
 		Workers:       *workers,
 		CacheEntries:  *cache,
-		PoolEntries:   *pool,
 		Store:         st, // service owns it: Drain flushes and closes
 		Obs:           o,
 		ProfileRounds: *profileRounds,
@@ -164,8 +163,8 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg := svc.Config()
-	log.Printf("ecssd: listening on %s (workers=%d queue=%d cache=%d pool=%d)",
-		*addr, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries, cfg.PoolEntries)
+	log.Printf("ecssd: listening on %s (workers=%d queue=%d cache=%d)",
+		*addr, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries)
 
 	select {
 	case err := <-errCh:

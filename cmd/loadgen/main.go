@@ -297,8 +297,8 @@ func runSteady(client *http.Client, targets []string, items []workItem, duration
 		if err != nil {
 			return fmt.Errorf("fetch server stats from %s: %w", t, err)
 		}
-		fmt.Printf("server stats:  %s: %d submitted, %d solves, %d cache hits, %d store hits, %d coalesced, %d failed, pool %d/%d reuse/create\n",
-			t, st.Submitted, st.Solves, st.CacheHits, st.StoreHits, st.Coalesced, st.Failed, st.Pool.Reuses, st.Pool.Creates)
+		fmt.Printf("server stats:  %s: %d submitted, %d solves, %d cache hits, %d store hits, %d coalesced, %d failed\n",
+			t, st.Submitted, st.Solves, st.CacheHits, st.StoreHits, st.Coalesced, st.Failed)
 		if st.Store != nil {
 			fmt.Printf("server store:  %s: %d entries / %d bytes, %d hits, %d misses, %d puts, %d evictions, %d corruptions, %d/%d mmap maps/fallbacks, %d touch drops\n",
 				t, st.Store.Entries, st.Store.Bytes, st.Store.Hits, st.Store.Misses,

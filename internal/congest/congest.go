@@ -122,8 +122,8 @@ func (n *Network) Stats() Stats { return n.stats }
 // ResetAccounting zeroes the Network's cost accounting — stats, recorded
 // phase spans, and any open phase — while keeping the engine scratch warm.
 // It exists for callers that reuse one Network across independent solves
-// (the service layer's NetworkPool): each solve then reports its own round
-// and message bill as if the Network were fresh. It must not be called
+// (cmd/bench's engine rows): each solve then reports its own round and
+// message bill as if the Network were fresh. It must not be called
 // concurrently with Run.
 func (n *Network) ResetAccounting() {
 	n.stats = Stats{}

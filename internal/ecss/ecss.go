@@ -106,9 +106,8 @@ func Solve(g *graph.Graph, opt Options) (*Result, *congest.Network, error) {
 }
 
 // SolveOn runs the full pipeline on a caller-provided network over the
-// instance net.G — typically one taken from a service NetworkPool whose
-// engine scratch is already sized to the instance. The caller retains
-// ownership of net. Result.Stats is the cost delta of this call, so both
+// instance net.G — typically a fresh one, so the caller can arm its round
+// Observer first. The caller retains ownership of net. Result.Stats is the cost delta of this call, so both
 // fresh and reused networks report per-solve bills; Result.Stats.
 // MaxEdgeWords is the network-lifetime maximum unless the caller calls
 // net.ResetAccounting between solves.

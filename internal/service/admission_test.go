@@ -305,7 +305,7 @@ func TestPanicRecoveredAndRetried(t *testing.T) {
 	if st.Solves != 1 || st.Completed != 1 || st.Failed != 0 {
 		t.Fatalf("stats %+v — a retried job must count as one solve", st)
 	}
-	// The worker survived; the poisoned network was not returned to the pool.
+	// The worker survived and solves the next job.
 	faults.Disarm()
 	j2, _, err := s.Submit(testGraph(t, 50), ecss.DefaultOptions())
 	if err != nil {

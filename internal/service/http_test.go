@@ -188,3 +188,28 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Fatalf("unknown job: code=%d, want 404", resp.StatusCode)
 	}
 }
+
+// TestReadBody pins the solve body reader: the exact bytes come back
+// whether the length is declared, unknown (chunked) or over-declared, and
+// an over-declared length presizes at most maxBodyPresize.
+func TestReadBody(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789"), 300)
+	for _, tc := range []struct {
+		name string
+		cl   int64 // declared Content-Length; -1: unknown
+	}{
+		{"declared", int64(len(payload))},
+		{"unknown", -1},
+		{"over-declared", maxBodyBytes},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(payload))
+		r.ContentLength = tc.cl
+		body, err := readBody(httptest.NewRecorder(), r)
+		if err != nil || !bytes.Equal(body, payload) {
+			t.Fatalf("%s: read %d bytes, err %v; want the %d-byte payload", tc.name, len(body), err, len(payload))
+		}
+		if cap(body) > 2*maxBodyPresize {
+			t.Fatalf("%s: buffer capacity %d exceeds the presize cap %d", tc.name, cap(body), maxBodyPresize)
+		}
+	}
+}

@@ -97,10 +97,6 @@ func (s *Service) registerMetrics() {
 		g("ecss_queue_depth", "Jobs admitted but not yet picked up by a worker.", float64(st.QueueDepth))
 		g("ecss_inflight", "Distinct content keys queued or being solved.", float64(st.Inflight))
 		g("ecss_cache_entries", "Entries in the in-memory result cache.", float64(st.CacheEntries))
-		c("ecss_pool_creates_total", "Networks built because the pool had no twin.", float64(st.Pool.Creates))
-		c("ecss_pool_reuses_total", "Solves served by a pooled network.", float64(st.Pool.Reuses))
-		c("ecss_pool_evictions_total", "Idle networks closed to respect the pool bound.", float64(st.Pool.Evictions))
-		g("ecss_pool_idle", "Idle networks held by the pool.", float64(st.Pool.Idle))
 		for class, cs := range st.Classes {
 			l := obs.L("class", class)
 			c("ecss_class_submitted_total", "Submissions per priority class.", float64(cs.Submitted), l)
@@ -237,8 +233,8 @@ func (s *Service) handleJobProfile(w http.ResponseWriter, r *http.Request) {
 // GET /v1/jobs/{id}/trace.
 type TraceResponse struct {
 	JobID string `json:"job_id"`
-	// RequestID is the id the job's trace began under ("" for jobs adopted
-	// at pre-warm, or when the trace has been evicted).
+	// RequestID is the id the job's trace began under ("" when the
+	// submission carried none, or when the trace has been evicted).
 	RequestID string `json:"request_id,omitempty"`
 	// Complete reports whether the trace ends in a terminal event. False
 	// also covers evicted traces: Events then narrates less than the whole

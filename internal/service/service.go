@@ -1,8 +1,8 @@
 // Package service implements the long-running 2-ECSS solver service that
 // fronts the paper's pipeline with a serving layer: a bounded priority job
 // queue with deadline- and class-aware admission control (admission.go), a
-// configurable worker pool executing solves on pooled congest Networks
-// (NetworkPool) with panic recovery and bounded retry, an in-flight
+// configurable worker pool executing each solve on its own congest Network
+// with panic recovery and bounded retry, an in-flight
 // coalescing table and a content-addressed LRU result cache keyed by the
 // canonical graph digest plus solve options, per-job status/progress, and
 // graceful drain on shutdown. cmd/ecssd exposes it over an HTTP JSON API
@@ -40,8 +40,6 @@ type Config struct {
 	// the default 512; negative disables caching — results then live only
 	// on their job).
 	CacheEntries int
-	// PoolEntries bounds the idle NetworkPool (default Workers).
-	PoolEntries int
 	// NetWorkers is ignored.
 	//
 	// Deprecated: the engine runs every solve sequentially; parallelism
@@ -50,10 +48,9 @@ type Config struct {
 	// this module must not use it.
 	NetWorkers int
 	// Store, when non-nil, is the disk-backed result store the in-memory
-	// cache writes through to. On New the most recently used entries
-	// pre-warm the memory cache (up to CacheEntries); memory-cache misses
-	// fall back to the store before solving. The service takes ownership:
-	// Drain flushes pending writes and closes it.
+	// cache writes through to. A memory-cache miss falls back to the store
+	// before solving, and a store hit is adopted into the memory cache. The
+	// service takes ownership: Drain flushes pending writes and closes it.
 	Store *store.Store
 	// Obs is the process observability hub the service publishes lifecycle
 	// events and metrics into (nil: the service creates a private one, so
@@ -81,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 512
-	}
-	if c.PoolEntries == 0 {
-		c.PoolEntries = c.Workers
 	}
 	if c.ProfileRounds == 0 {
 		c.ProfileRounds = 512
@@ -133,8 +127,8 @@ type Job struct {
 	finished time.Time
 	// resultJSON is the canonical wire encoding, marshaled once and shared
 	// by every requester. The *ecss.Result itself is not retained: its edge
-	// ids are relative to the (possibly pooled-twin) graph the solve ran
-	// on, not necessarily the submitter's.
+	// ids are relative to the graph the solve ran on, which may be a
+	// structurally identical twin of a later submitter's.
 	resultJSON []byte
 	// view pins the store-backed bytes resultJSON aliases on jobs adopted
 	// from the disk store (zero for solved jobs, whose bytes are private).
@@ -177,9 +171,10 @@ type Stats struct {
 	Retries         int64 `json:"retries"`
 	PanicsRecovered int64 `json:"panics_recovered"`
 	// CacheHits counts submissions served from the in-memory result cache
-	// (including entries pre-warmed from the store); Coalesced counts
-	// submissions attached to an identical in-flight job; StoreHits counts
-	// submissions served by reading the disk store on a memory-cache miss.
+	// (including entries adopted there by an earlier store hit); Coalesced
+	// counts submissions attached to an identical in-flight job; StoreHits
+	// counts submissions served by reading the disk store on a memory-cache
+	// miss.
 	CacheHits int64 `json:"cache_hits"`
 	Coalesced int64 `json:"coalesced"`
 	StoreHits int64 `json:"store_hits"`
@@ -199,7 +194,6 @@ type Stats struct {
 	// Classes breaks queue traffic down per priority class, keyed by
 	// Priority.String().
 	Classes map[string]ClassStats `json:"classes"`
-	Pool    NetworkPoolStats      `json:"pool"`
 	// Store mirrors the disk store's counters; nil when the service runs
 	// without persistence.
 	Store *store.Stats `json:"store,omitempty"`
@@ -250,7 +244,6 @@ const (
 // Service is the solver service. Create with New, stop with Drain.
 type Service struct {
 	cfg   Config
-	pool  *NetworkPool
 	store *store.Store // nil: no persistence
 	// o is the observability hub (never nil after New); solveHist is the
 	// pickup-to-terminal solve latency histogram, created once at startup;
@@ -292,15 +285,13 @@ type Service struct {
 	testDecode func()
 }
 
-// New starts a service with cfg's sizing and its worker goroutines. With a
-// configured Store, the memory cache is pre-warmed from the store's most
-// recently used entries so a restart resumes at a warm hit ratio instead of
-// a cold one.
+// New starts a service with cfg's sizing and its worker goroutines. It
+// does not read the Store: after a restart, the first submission of each
+// stored key is a store hit that adopts the result into the memory cache.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		pool:     NewNetworkPool(cfg.PoolEntries),
 		store:    cfg.Store,
 		o:        cfg.Obs,
 		jobs:     make(map[string]*Job),
@@ -313,17 +304,6 @@ func New(cfg Config) *Service {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.registerMetrics()
-	if s.store != nil && cfg.CacheEntries > 0 {
-		// Recent returns MRU-first; insert oldest-first so the memory
-		// cache's LRU order mirrors the store's.
-		warm := s.store.Recent(cfg.CacheEntries)
-		s.mu.Lock()
-		for i := len(warm) - 1; i >= 0; i-- {
-			e := warm[i]
-			s.adoptStoredLocked(Key(e.Key), e.GraphHash, e.View, "")
-		}
-		s.mu.Unlock()
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -335,7 +315,7 @@ func New(cfg Config) *Service {
 // addressable via JobInfo, served from the memory cache — without a solve
 // and, on the mmap path, without copying the payload: the job takes
 // ownership of the view's pin. req is the request id of the triggering
-// submission ("" for pre-warm adoption at startup). Caller holds s.mu.
+// submission. Caller holds s.mu.
 func (s *Service) adoptStoredLocked(key Key, ghash [32]byte, v store.View, req string) *Job {
 	s.seq++
 	now := time.Now()
@@ -669,7 +649,7 @@ func (s *Service) runJob(j *Job) {
 		s.mu.Unlock()
 	}
 
-	// The round recorder is armed per attempt on the solve's pooled network
+	// The round recorder is armed per attempt on the solve's network
 	// (solveOnce) and reset across retries, so the retained profile narrates
 	// the attempt that produced the terminal state.
 	var rec *congest.RoundRecorder
@@ -686,7 +666,7 @@ func (s *Service) runJob(j *Job) {
 			rec.Reset()
 		}
 		stages = stages[:0]
-		raw, err = s.solveOnce(j, g, opt, rec)
+		raw, err = s.solveOnce(g, opt, rec)
 		closeStage(time.Now())
 		if err == nil || attempt >= maxSolveRetries || !retryable(err) {
 			break
@@ -758,16 +738,13 @@ func (s *Service) runJob(j *Job) {
 		MS: dur / float64(time.Millisecond), Rounds: jobRounds, Msgs: jobMsgs, Terminal: true})
 }
 
-// solveOnce runs one pipeline attempt on a pooled network, converting
-// solver panics into errors. A network that panicked mid-solve is in an
-// unknown state and is dropped, never returned to the pool. rec, when
-// non-nil, is armed as the network's round observer for the duration of the
-// solve and disarmed before the network can re-enter the pool.
-func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *congest.RoundRecorder) (raw []byte, err error) {
+// solveOnce runs one pipeline attempt on a network built for it, converting
+// solver panics into errors. rec, when non-nil, is armed as the network's
+// round observer; the network is dropped when the attempt returns.
+func (s *Service) solveOnce(g *graph.Graph, opt ecss.Options, rec *congest.RoundRecorder) (raw []byte, err error) {
 	// The recovery is installed before the first injection point so that
 	// every panic-mode fault on this path — including solve.pre itself —
 	// degrades to a per-job error, never a dead worker.
-	var net *congest.Network
 	panicked := true
 	defer func() {
 		if panicked {
@@ -776,25 +753,17 @@ func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *conge
 			s.stats.PanicsRecovered++
 			s.mu.Unlock()
 			err = &panicError{val: r}
-			return
-		}
-		if net != nil {
-			s.pool.Put(j.ghash, net)
 		}
 	}()
 	if ferr := faults.Point("solve.pre"); ferr != nil {
 		panicked = false
 		return nil, ferr
 	}
-	net = s.pool.Get(j.ghash, g)
-	net.ResetAccounting()
+	net := congest.NewNetwork(g)
 	if rec != nil {
 		net.Observer = rec
 	}
 	res, serr := ecss.SolveOn(net, opt)
-	// Disarm before the network can be pooled: a recycled network must never
-	// write a later job's rounds into this job's profile.
-	net.Observer = nil
 	if serr == nil {
 		// Integrity gate: never cache (or serve) an unverified result.
 		serr = ecss.Verify(net.G, res)
@@ -850,7 +819,6 @@ func (s *Service) Stats() Stats {
 	st.QueueDepth = s.qlen
 	st.Inflight = len(s.inflight)
 	st.CacheEntries = s.cache.len()
-	st.Pool = s.pool.Stats()
 	st.Classes = make(map[string]ClassStats, numPriorities)
 	for c := Priority(0); c < numPriorities; c++ {
 		cs := s.classes[c]
@@ -868,13 +836,12 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Drain stops admission, lets the workers finish every queued job, drops
-// the idle pooled networks, and — when a store is configured — flushes its
-// pending writes to disk and closes it, leaving a replayable index. It
-// returns nil on a clean drain or ctx.Err() if the context expires first
-// (workers then keep draining in the background; the pool is emptied and
-// the store closed once they finish). Drain is one-shot: callers
-// coordinate so it runs once.
+// Drain stops admission, lets the workers finish every queued job, and —
+// when a store is configured — flushes its pending writes to disk and
+// closes it, leaving a replayable index. It returns nil on a clean drain or
+// ctx.Err() if the context expires first (workers then keep draining in the
+// background; the store is closed once they finish). Drain is one-shot:
+// callers coordinate so it runs once.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -891,7 +858,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		s.pool.dropIdle()
 		if s.store != nil {
 			// Every worker has returned, so every write-through Put is
 			// already enqueued; Close flushes them durably in FIFO order.

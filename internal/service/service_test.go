@@ -127,10 +127,6 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 	if st.Solves != 2 || st.CacheHits != 1 {
 		t.Fatalf("got %d solves / %d cache hits, want 2 / 1", st.Solves, st.CacheHits)
 	}
-	// Different options on the same graph reuse the pooled network.
-	if st.Pool.Reuses < 1 {
-		t.Fatalf("network pool never reused (stats: %+v)", st.Pool)
-	}
 }
 
 func TestQueueFullRejects(t *testing.T) {
@@ -276,9 +272,6 @@ func TestDrainFinishesQueuedAndRejectsNew(t *testing.T) {
 	if _, _, err := s.Submit(testGraph(t, 99), ecss.DefaultOptions()); err != ErrDraining {
 		t.Fatalf("post-drain submit: %v, want ErrDraining", err)
 	}
-	if st := s.Stats(); st.Pool.Idle != 0 {
-		t.Fatalf("pool still holds %d idle networks after drain", st.Pool.Idle)
-	}
 }
 
 func drain(t *testing.T, s *Service) {
@@ -287,36 +280,6 @@ func drain(t *testing.T, s *Service) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil && err.Error() != "service: already draining" {
 		t.Fatalf("drain: %v", err)
-	}
-}
-
-func TestNetworkPoolReuseAndEviction(t *testing.T) {
-	p := NewNetworkPool(2)
-	mk := func(seed int64) (*graph.Graph, [32]byte) {
-		g, err := graph.ByFamily("ring", 12, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, g.Hash()
-	}
-	g1, h1 := mk(1)
-	n1 := p.Get(h1, g1)
-	p.Put(h1, n1)
-	if got := p.Get(h1, g1); got != n1 {
-		t.Fatal("pool did not return the idle network for a matching hash")
-	}
-	p.Put(h1, n1)
-
-	g2, h2 := mk(2)
-	g3, h3 := mk(3)
-	p.Put(h2, p.Get(h2, g2))
-	p.Put(h3, p.Get(h3, g3)) // capacity 2: evicts the n1 entry
-	st := p.Stats()
-	if st.Creates != 3 || st.Reuses != 1 || st.Evictions != 1 || st.Idle != 2 {
-		t.Fatalf("pool stats %+v, want creates=3 reuses=1 evictions=1 idle=2", st)
-	}
-	if got := p.Get(h1, g1); got == n1 {
-		t.Fatal("evicted network returned from pool")
 	}
 }
 

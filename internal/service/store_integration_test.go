@@ -25,10 +25,11 @@ func openStore(t *testing.T, dir string, maxBytes int64) *store.Store {
 	return st
 }
 
-// TestRestartServesFromStoreEndToEnd is the PR's acceptance test: fill a
-// disk-backed service through the HTTP API, drain it, start a fresh Service
-// on the same directory, and every previously solved instance must be
-// served byte-identically with zero solver invocations.
+// TestRestartServesFromStoreEndToEnd fills a disk-backed service through
+// the HTTP API, drains it, and starts a fresh Service on the same
+// directory: every previously solved instance must be served
+// byte-identically with zero solver invocations. The first pass reads each
+// one from the store; the second serves the adopted job from memory.
 func TestRestartServesFromStoreEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	const instances = 5
@@ -55,28 +56,39 @@ func TestRestartServesFromStoreEndToEnd(t *testing.T) {
 	defer drain(t, s2)
 	srv2 := httptest.NewServer(s2.Handler())
 	defer srv2.Close()
-	for seed := 1; seed <= instances; seed++ {
-		req := SolveRequest{Graph: WireGraph(testGraph(t, int64(seed))), Wait: true}
-		code, resp := postSolve(t, srv2, req)
-		if code != http.StatusOK || resp.Status != StatusDone || !resp.Cached {
-			t.Fatalf("seed %d warm solve: code=%d resp=%+v", seed, code, resp)
+	jobIDs := make(map[int]string)
+	for pass := 1; pass <= 2; pass++ {
+		for seed := 1; seed <= instances; seed++ {
+			req := SolveRequest{Graph: WireGraph(testGraph(t, int64(seed))), Wait: true}
+			code, resp := postSolve(t, srv2, req)
+			if code != http.StatusOK || resp.Status != StatusDone || !resp.Cached {
+				t.Fatalf("pass %d seed %d warm solve: code=%d resp=%+v", pass, seed, code, resp)
+			}
+			if !bytes.Equal(resp.Result, first[seed]) {
+				t.Fatalf("pass %d seed %d warm result differs from pre-restart bytes", pass, seed)
+			}
+			if pass == 1 {
+				jobIDs[seed] = resp.JobID
+			} else if resp.JobID != jobIDs[seed] {
+				t.Fatalf("seed %d second pass served job %s, want the adopted job %s", seed, resp.JobID, jobIDs[seed])
+			}
 		}
-		if !bytes.Equal(resp.Result, first[seed]) {
-			t.Fatalf("seed %d warm result differs from pre-restart bytes", seed)
+		st := s2.Stats()
+		if st.Solves != 0 {
+			t.Fatalf("warm restart ran %d solves, want 0 (stats %+v)", st.Solves, st)
 		}
-	}
-	st := s2.Stats()
-	if st.Solves != 0 {
-		t.Fatalf("warm restart ran %d solves, want 0 (stats %+v)", st.Solves, st)
-	}
-	if st.CacheHits != instances {
-		t.Fatalf("warm restart served %d cache hits, want %d (pre-warm)", st.CacheHits, instances)
+		if pass == 1 && (st.StoreHits != instances || st.CacheHits != 0) {
+			t.Fatalf("first pass: %d store hits / %d cache hits, want %d / 0", st.StoreHits, st.CacheHits, instances)
+		}
+		if pass == 2 && st.CacheHits != instances {
+			t.Fatalf("second pass: %d cache hits, want %d", st.CacheHits, instances)
+		}
 	}
 }
 
 // TestStoreHitWithoutMemoryCache pins the disk-fallback path: with the
-// memory cache disabled there is no pre-warm, so a warm restart must serve
-// via store.Get and count StoreHits.
+// memory cache disabled a warm restart must serve via the store and count
+// StoreHits.
 func TestStoreHitWithoutMemoryCache(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t, 1)

@@ -124,18 +124,11 @@ func (v View) Release() {
 // access time of a hit feeds LRU eviction. No lock is held across file I/O
 // or hashing, and a warm hit performs no I/O and no payload allocation at
 // all — it is a refcount bump on the existing mapping.
-func (s *Store) GetView(key Key) (View, bool) { return s.getView(key, true) }
-
-// getView implements GetView; Recent passes serving=false to skip the
-// hit/miss and access-time accounting (pre-warm reads are not serving
-// decisions).
-func (s *Store) getView(key Key, serving bool) (View, bool) {
+func (s *Store) GetView(key Key) (View, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {
-		if serving {
-			s.stats.Misses++
-		}
+		s.stats.Misses++
 		s.mu.Unlock()
 		return View{}, false
 	}
@@ -143,17 +136,12 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 		// Warm path: already mapped and verified; pinning is bookkeeping.
 		m.refs++
 		s.stats.Mmap.Pins++
-		var now int64
-		if serving {
-			now = s.stampLocked()
-			e.atime = now
-			s.ll.MoveToFront(e.el)
-			s.stats.Hits++
-		}
+		now := s.stampLocked()
+		e.atime = now
+		s.ll.MoveToFront(e.el)
+		s.stats.Hits++
 		s.mu.Unlock()
-		if now != 0 {
-			s.recordTouch(key, now)
-		}
+		s.recordTouch(key, now)
 		return View{m: m, img: m.data}, true
 	}
 	// Cold path: pin the entry so eviction defers the unlink to us, then
@@ -179,9 +167,7 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 	}
 	var unmap []byte
 	if err != nil {
-		if serving {
-			s.stats.Misses++
-		}
+		s.stats.Misses++
 		if sameEntry {
 			// Same transient-vs-real ambiguity as any failed read:
 			// quarantine for the reverifier to adjudicate.
@@ -217,14 +203,12 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 	} else {
 		s.stats.Mmap.Fallbacks++
 	}
+	s.stats.Hits++
 	var now int64
-	if serving {
-		s.stats.Hits++
-		if sameEntry {
-			now = s.stampLocked()
-			e.atime = now
-			s.ll.MoveToFront(e.el)
-		}
+	if sameEntry {
+		now = s.stampLocked()
+		e.atime = now
+		s.ll.MoveToFront(e.el)
 	}
 	s.mu.Unlock()
 	if now != 0 {

@@ -76,12 +76,21 @@ func TestGetViewWarmZeroCopy(t *testing.T) {
 
 // TestWarmGetViewAllocs is the acceptance gate: a warm hit of a multi-MB
 // entry on the mmap path performs zero heap allocations — in particular
-// nothing payload-sized. It uses the non-serving getView so the off-goroutine
-// writer (touch appends) cannot perturb the process-wide malloc counter.
+// nothing payload-sized. It reads through a read-only reopen of the store,
+// which records no access-time touches, so the off-goroutine writer (touch
+// appends) cannot perturb the process-wide malloc counter.
 func TestWarmGetViewAllocs(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 0)
+	dir := t.TempDir()
+	w := mustOpen(t, dir, 0)
+	k := putOne(t, w, 2, bigPayload(2, 4<<20))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWith(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
-	k := putOne(t, s, 2, bigPayload(2, 4<<20))
 	v, ok := s.GetView(k)
 	if !ok {
 		t.Fatal("GetView miss")
@@ -91,9 +100,9 @@ func TestWarmGetViewAllocs(t *testing.T) {
 	}
 	v.Release()
 	allocs := testing.AllocsPerRun(200, func() {
-		w, ok := s.getView(k, false)
+		w, ok := s.GetView(k)
 		if !ok {
-			t.Fatal("warm getView miss")
+			t.Fatal("warm GetView miss")
 		}
 		if len(w.Bytes()) != 4<<20 {
 			t.Fatal("short view")
@@ -400,7 +409,7 @@ func TestTouchDropsCounted(t *testing.T) {
 
 // TestTortureConcurrentMultiMB is the -race gate from the acceptance
 // criteria: concurrent GetView/Get, re-Puts, evictions (tight byte budget),
-// Recent scans, and Reverify passes over multi-megabyte entries.
+// GetView sweeps, and Reverify passes over multi-megabyte entries.
 func TestTortureConcurrentMultiMB(t *testing.T) {
 	const mb = 1 << 20
 	s, err := OpenWith(t.TempDir(), Options{MaxBytes: 4 * mb})
@@ -463,8 +472,10 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 				return
 			default:
 			}
-			for _, e := range s.Recent(nKeys) {
-				e.View.Release()
+			for _, k := range keys {
+				if v, ok := s.GetView(k); ok {
+					v.Release()
+				}
 			}
 			s.Reverify()
 		}

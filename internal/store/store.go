@@ -23,8 +23,7 @@ import (
 // Stats counts store traffic. It is embedded in the service's /v1/stats
 // payload, so the field set is part of the operational API.
 type Stats struct {
-	// Hits and Misses count Get lookups (pre-warm reads via Recent are not
-	// counted: they are not serving decisions).
+	// Hits and Misses count Get and GetView lookups.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Puts counts entries accepted for write; DupPuts counts writes skipped
@@ -819,48 +818,6 @@ func (s *Store) emitEvictPressure(ev evictResult) {
 	}
 	s.bus.Publish(obs.Event{Type: obs.EvStoreEvictPressure,
 		Bytes: ev.reclaimed, Count: ev.count, Budget: s.maxBytes})
-}
-
-// Entry is one live record surfaced by Recent for cache pre-warming.
-type Entry struct {
-	Key       Key
-	GraphHash [32]byte
-	// Payload aliases View.Bytes(): valid until the view is released.
-	Payload []byte
-	// View is the pinned verified read the payload came from. The caller
-	// owns it and must Release it (directly, or by handing the view on to
-	// whoever retains the payload).
-	View View
-}
-
-// Recent returns up to n live entries, most recently used first, each with
-// a pinned verified view (corrupt files are quarantined and skipped,
-// exactly as on Get, but without hit/miss or access-time accounting: a
-// pre-warm read is not a serving decision). The service uses it to pre-warm
-// its in-memory cache on startup.
-func (s *Store) Recent(n int) []Entry {
-	s.mu.Lock()
-	keys := make([]Key, 0, s.ll.Len())
-	for el := s.ll.Front(); el != nil && len(keys) < n; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
-	}
-	s.mu.Unlock()
-	// Reads run key-by-key with no lock held; a key evicted or quarantined
-	// since the snapshot simply misses and is skipped.
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		v, ok := s.getView(k, false)
-		if !ok {
-			continue
-		}
-		h, err := DecodeHeader(v.img)
-		if err != nil { // unreachable: the view is verified
-			v.Release()
-			continue
-		}
-		out = append(out, Entry{Key: k, GraphHash: h.GraphHash, Payload: v.Bytes(), View: v})
-	}
-	return out
 }
 
 // Stats returns a snapshot of the store counters.

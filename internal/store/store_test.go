@@ -58,6 +58,18 @@ func TestPutGetRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d payload mismatch: %q", i, got)
 		}
 	}
+	// The object file's header carries the graph hash it was Put with.
+	for i := 0; i < 4; i++ {
+		k, gh, _ := mkKey(i)
+		b, err := os.ReadFile(s.objPath(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := DecodeHeader(b)
+		if err != nil || h.Key != k || h.GraphHash != gh {
+			t.Fatalf("entry %d header: key %x ghash %x err %v, want ghash %x", i, h.Key[:4], h.GraphHash[:4], err, gh[:4])
+		}
+	}
 	if k, _, _ := mkKey(99); s.Contains(k) {
 		t.Fatal("Contains reports an absent key")
 	}
@@ -112,35 +124,6 @@ func TestReopenServesIdenticalPayloads(t *testing.T) {
 		if !ok || !bytes.Equal(got, payloadFor(i)) {
 			t.Fatalf("entry %d after reopen: ok=%v payload=%q", i, ok, got)
 		}
-	}
-}
-
-func TestRecentOrderAndHeaderFields(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 0)
-	defer s.Close()
-	putN(t, s, 3)
-	// Touch entry 0 so it becomes most recent.
-	k0, gh0, _ := mkKey(0)
-	if _, ok := s.Get(k0); !ok {
-		t.Fatal("entry 0 missing")
-	}
-	got := s.Recent(2)
-	if len(got) != 2 {
-		t.Fatalf("Recent(2) returned %d entries", len(got))
-	}
-	for _, e := range got {
-		defer e.View.Release()
-	}
-	if got[0].Key != k0 || got[0].GraphHash != gh0 {
-		t.Fatalf("most recent entry is %x (ghash %x), want entry 0", got[0].Key[:4], got[0].GraphHash[:4])
-	}
-	if !bytes.Equal(got[0].Payload, payloadFor(0)) {
-		t.Fatal("Recent payload mismatch")
-	}
-	// Recent reads must not count as serving hits (putN made no Gets, the
-	// touch above made one).
-	if st := s.Stats(); st.Hits != 1 {
-		t.Fatalf("hits %d after Recent, want 1", st.Hits)
 	}
 }
 
